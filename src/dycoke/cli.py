@@ -212,6 +212,8 @@ def cmd_bench(args) -> int:
             heads=preset.heads,
         )
     else:
+        if not (args.d and args.m):
+            raise ValueError("--model custom requires --d and --m")
         dims = ModelDims(layers=args.layers or 2, hidden=args.d, ffn_inner=args.m,
                          heads=args.heads)
     config = CompressionConfig(

@@ -96,17 +96,8 @@ def flops_ratio(
     n_text: int = 0,
     decode_steps: int = 100,
 ) -> float:
-    """Compressed total FLOPs over full-token total FLOPs.
-
-    Compressed prefill runs on stage-1 retained visual tokens + text;
-    compressed decode attends over final retained visual tokens + text.
-    """
-    stage1, final = retained_ratio(config)
-    n1 = round(stage1 * n_visual)
-    n2 = round(final * n_visual)
-    compressed = total_flops(CostInputs(dims, n1 + n_text, decode_steps, n2 + n_text))
-    full = total_flops(CostInputs(dims, n_visual + n_text, decode_steps, n_visual + n_text))
-    return compressed / full
+    """Compressed total FLOPs over full-token total FLOPs (see compression_report)."""
+    return compression_report(config, dims, n_visual, n_text, decode_steps).flops_ratio_vs_full
 
 
 def compression_report(
@@ -116,11 +107,16 @@ def compression_report(
     n_text: int = 0,
     decode_steps: int = 100,
 ) -> CostReport:
-    """CostReport for a compressed run, with the full-token run as baseline."""
+    """CostReport for a compressed run, with the full-token run as baseline.
+
+    Compressed prefill runs on the idealized stage-1 retained visual tokens +
+    text; compressed decode attends over the final retained visual tokens + text.
+    """
     stage1, final = retained_ratio(config)
     n1 = round(stage1 * n_visual)
     n2 = round(final * n_visual)
     inputs = CostInputs(dims, n1 + n_text, decode_steps, n2 + n_text)
+    full = CostInputs(dims, n_visual + n_text, decode_steps, n_visual + n_text)
     pre = prefill_flops(inputs)
     dec = decode_flops(inputs)
     return CostReport(
@@ -129,5 +125,5 @@ def compression_report(
         total_flops=pre + dec,
         retained_ratio_stage1=stage1,
         retained_ratio_final=final,
-        flops_ratio_vs_full=flops_ratio(config, dims, n_visual, n_text, decode_steps),
+        flops_ratio_vs_full=(pre + dec) / total_flops(full),
     )

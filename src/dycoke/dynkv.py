@@ -157,9 +157,6 @@ class DualCache:
     def layer_count(self) -> int:
         return len(self.layers)
 
-    def prefill_length(self) -> int:
-        return self.survivor_count + self.n_text
-
     def generated_count(self) -> int:
         return self.layers[0].extra_len - self.n_text
 
@@ -172,11 +169,6 @@ class DualCache:
         mask = np.ones(self.survivor_count, dtype=bool)
         mask[self.active_rows] = False
         return tuple(self.token_ids[i] for i in np.flatnonzero(mask))
-
-    def _parked_rows(self) -> np.ndarray:
-        mask = np.ones(self.survivor_count, dtype=bool)
-        mask[self.active_rows] = False
-        return np.flatnonzero(mask)
 
     # -- per-layer views ------------------------------------------------------
 
@@ -204,18 +196,6 @@ class DualCache:
 
     def active_values(self, layer: int) -> np.ndarray:
         return self.layers[layer].active_v if self._pruned(layer) else self.layers[layer].vis_v
-
-    def parked_keys(self, layer: int) -> np.ndarray:
-        store = self.layers[layer]
-        if not self._pruned(layer) or self.frozen:
-            return store.vis_k[:0]
-        return store.vis_k[self._parked_rows()]
-
-    def parked_values(self, layer: int) -> np.ndarray:
-        store = self.layers[layer]
-        if not self._pruned(layer) or self.frozen:
-            return store.vis_v[:0]
-        return store.vis_v[self._parked_rows()]
 
     # -- decisions -----------------------------------------------------------
 
@@ -288,25 +268,39 @@ def _check_snapshot(snapshot: AttentionSnapshot, cache: DualCache) -> None:
         raise ValueError("snapshot score count != survivor count")
 
 
-def initial_prune(
+def _retain(
+    cache: DualCache, step: int, retained: tuple[TokenId, ...], threshold: float | None
+) -> RetentionDecision:
+    """Make ``retained`` the active set; the decision names the rows that moved."""
+    retained_set = set(retained)
+    prev_active = set(cache.active_ids())
+    decision = RetentionDecision(
+        step=step,
+        retained_ids=retained,
+        threshold=threshold,
+        readmitted=tuple(sorted(retained_set - prev_active)),
+        evicted=tuple(sorted(prev_active - retained_set)),
+    )
+    cache.apply(decision)
+    return decision
+
+
+def _retain_top(
     snapshot: AttentionSnapshot, cache: DualCache, config: CompressionConfig
 ) -> RetentionDecision:
-    """First-step pruning: keep the quota highest-scoring survivors active."""
+    """Rank every survivor by the snapshot and retain the top quota."""
     _check_snapshot(snapshot, cache)
     quota = retention_quota(cache.survivor_count, config.p_rate)
     cache.quota = quota
     retained, threshold = _top_quota(snapshot.scores, snapshot.token_ids, quota)
-    retained_set = set(retained)
-    evicted = tuple(t for t in cache.active_ids() if t not in retained_set)
-    decision = RetentionDecision(
-        step=snapshot.step,
-        retained_ids=retained,
-        threshold=threshold,
-        readmitted=(),
-        evicted=evicted,
-    )
-    cache.apply(decision)
-    return decision
+    return _retain(cache, snapshot.step, retained, threshold)
+
+
+def initial_prune(
+    snapshot: AttentionSnapshot, cache: DualCache, config: CompressionConfig
+) -> RetentionDecision:
+    """First-step pruning: keep the quota highest-scoring survivors active."""
+    return _retain_top(snapshot, cache, config)
 
 
 def dynamic_swap(
@@ -325,21 +319,7 @@ def dynamic_swap(
             readmitted=(),
             evicted=(),
         )
-    _check_snapshot(snapshot, cache)
-    quota = retention_quota(cache.survivor_count, config.p_rate)
-    cache.quota = quota
-    retained, threshold = _top_quota(snapshot.scores, snapshot.token_ids, quota)
-    retained_set = set(retained)
-    prev_active = set(cache.active_ids())
-    decision = RetentionDecision(
-        step=snapshot.step,
-        retained_ids=retained,
-        threshold=threshold,
-        readmitted=tuple(sorted(retained_set - prev_active)),
-        evicted=tuple(sorted(prev_active - retained_set)),
-    )
-    cache.apply(decision)
-    return decision
+    return _retain_top(snapshot, cache, config)
 
 
 def one_shot_prune(
@@ -362,11 +342,6 @@ def random_prune(
     rng = np.random.default_rng([(config.seed if seed is None else seed) % 2**32, 300])
     rows = rng.choice(cache.survivor_count, size=quota, replace=False)
     retained = tuple(sorted(cache.token_ids[i] for i in rows))
-    retained_set = set(retained)
-    evicted = tuple(t for t in cache.active_ids() if t not in retained_set)
-    decision = RetentionDecision(
-        step=0, retained_ids=retained, threshold=None, readmitted=(), evicted=evicted
-    )
-    cache.apply(decision)
+    decision = _retain(cache, 0, retained, None)
     cache.freeze()
     return decision

@@ -9,6 +9,7 @@ is a pure function of its RunSpec, so identical specs give identical bytes.
 
 from __future__ import annotations
 
+import functools
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,8 +40,9 @@ SWEEP_COLUMNS = [
 ]
 
 
+@functools.cache
 def build_stamp() -> str:
-    """Package version plus git describe when available."""
+    """Package version plus git describe when available; computed once per process."""
     from . import __version__
 
     try:
@@ -106,32 +108,75 @@ class RunSpec:
         return out
 
 
-class _StrategyDriver:
-    """Maps a strategy name onto per-step retention calls, collecting the audit."""
+def _decide(
+    strategy: str,
+    step: int,
+    snapshot: AttentionSnapshot,
+    cache: dynkv.DualCache,
+    config: CompressionConfig,
+) -> dynkv.RetentionDecision | None:
+    """The strategy's stage-2 decision for one step: prune at step 0, then swap.
 
-    def __init__(self, name: str, config: CompressionConfig, cache: dynkv.DualCache):
-        self.name = name
-        self.config = config
-        self.cache = cache
-        self.decisions: list[dynkv.RetentionDecision] = []
+    The dynkv functions are looked up at call time so wrappers installed on the
+    module see every call.
+    """
+    if strategy == "none":
+        return None
+    if step > 0:
+        return dynkv.dynamic_swap(snapshot, cache, config)
+    if strategy == "dycoke":
+        return dynkv.initial_prune(snapshot, cache, config)
+    if strategy == "one_shot":
+        return dynkv.one_shot_prune(snapshot, cache, config)
+    return dynkv.random_prune(cache, config)
 
-    def hook(self, step: int):
-        if self.name == "none":
-            return None
 
-        def on_snapshot(snapshot: AttentionSnapshot) -> None:
-            if step == 0:
-                if self.name == "dycoke":
-                    decision = dynkv.initial_prune(snapshot, self.cache, self.config)
-                elif self.name == "one_shot":
-                    decision = dynkv.one_shot_prune(snapshot, self.cache, self.config)
-                else:
-                    decision = dynkv.random_prune(self.cache, self.config)
-            else:
-                decision = dynkv.dynamic_swap(snapshot, self.cache, self.config)
-            self.decisions.append(decision)
+def _step_row(step: int, decision: dynkv.RetentionDecision | None) -> dict:
+    return {
+        "step": step,
+        "readmitted": len(decision.readmitted) if decision else 0,
+        "evicted": len(decision.evicted) if decision else 0,
+        "threshold": decision.threshold if decision else None,
+    }
 
-        return on_snapshot
+
+def _decode(
+    decoder: ToyDecoder,
+    cache: dynkv.DualCache,
+    emb: np.ndarray,
+    steps: int,
+    strategy: str,
+    config: CompressionConfig,
+) -> tuple[list[dict], list[dynkv.RetentionDecision], list[int], np.ndarray, list[float]]:
+    """Closed decode loop: ``steps`` steps, each waiting for the one before it.
+
+    The strategy decides at the eval-layer snapshot, inside the step, so the
+    layers above already attend over the new active set. Returns step rows,
+    decisions, tokens, float64 hidden states and decode_step seconds.
+    """
+    rows: list[dict] = []
+    decisions: list[dynkv.RetentionDecision] = []
+    tokens: list[int] = []
+    seconds: list[float] = []
+    hidden_states = np.empty((steps, decoder.dims.hidden), dtype=np.float64)
+    for step in range(steps):
+        decided: list = []
+
+        def on_snapshot(snapshot: AttentionSnapshot, step: int = step) -> None:
+            decided.append(_decide(strategy, step, snapshot, cache, config))
+
+        t0 = time.perf_counter()
+        hidden, _ = decoder.decode_step(emb, cache, step, on_snapshot=on_snapshot)
+        seconds.append(time.perf_counter() - t0)
+        cache.check_invariants(step)
+        hidden_states[step] = hidden
+        token, emb = decoder.select_token(hidden)
+        tokens.append(token)
+        decision = decided[0]
+        if decision is not None:
+            decisions.append(decision)
+        rows.append(_step_row(step, decision) | {"active_visual": len(cache.active_rows)})
+    return rows, decisions, tokens, hidden_states, seconds
 
 
 @dataclass
@@ -238,35 +283,11 @@ def run_simulation(spec: RunSpec) -> SimResult:
         eval_layer=spec.config.eval_layer,
         reserve_steps=spec.decode_steps + 2,
     )
-    driver = _StrategyDriver(spec.strategy, spec.config, cache)
-
     token, emb = decoder.select_token(last_hidden)
-    decoded = [token]
-    steps: list[dict] = []
-    per_step_s: list[float] = []
-    hidden_states = np.empty((spec.decode_steps, spec.dims.hidden), dtype=np.float64)
+    steps, decisions, tokens, hidden_states, per_step_s = _decode(
+        decoder, cache, emb, spec.decode_steps, spec.strategy, spec.config
+    )
 
-    for step in range(spec.decode_steps):
-        t0 = time.perf_counter()
-        hidden, _snapshot = decoder.decode_step(emb, cache, step, on_snapshot=driver.hook(step))
-        dt = time.perf_counter() - t0
-        cache.check_invariants(step)
-        hidden_states[step] = hidden.astype(np.float64)
-        token, emb = decoder.select_token(hidden)
-        decoded.append(token)
-        per_step_s.append(dt)
-        decision = driver.decisions[step] if driver.decisions else None
-        steps.append(
-            {
-                "step": step,
-                "readmitted": len(decision.readmitted) if decision else 0,
-                "evicted": len(decision.evicted) if decision else 0,
-                "active_visual": len(cache.active_rows),
-                "threshold": decision.threshold if decision else None,
-            }
-        )
-
-    final_ratio = (quota if spec.strategy != "none" else survivors) / grid.total_tokens
     return SimResult(
         spec=spec,
         total_visual=grid.total_tokens,
@@ -274,13 +295,12 @@ def run_simulation(spec: RunSpec) -> SimResult:
         text_count=text.count,
         quota=quota,
         retained_ratio_stage1=ttm.retained_ratio,
-        retained_ratio_final=final_ratio,
-        decoded_ids=decoded,
+        retained_ratio_final=quota / grid.total_tokens,
+        decoded_ids=[token] + tokens,
         steps=steps,
-        audit=[d.to_json() for d in driver.decisions],
+        audit=[d.to_json() for d in decisions],
         flops=_flops_summary(
-            spec.dims, grid.total_tokens, text.count, survivors,
-            quota if spec.strategy != "none" else survivors, spec.decode_steps,
+            spec.dims, grid.total_tokens, text.count, survivors, quota, spec.decode_steps
         ),
         hidden_states=hidden_states,
         timings={
@@ -363,8 +383,8 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     ids = tuple(ttm.token_ids)
 
     rows64 = ttm.data.astype(np.float64)
-    caches = {
-        name: dynkv.DualCache(
+    tracked, baseline = (
+        dynkv.DualCache(
             [(rows64, rows64), (rows64, rows64)],
             ttm.token_ids,
             n_text=0,
@@ -372,35 +392,21 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
             eval_layer=0,
             reserve_steps=last + 2,
         )
-        for name in ("dycoke", "one_shot")
-    }
+        for _ in range(2)
+    )
 
     audit: list[dict] = []
     steps: list[dict] = []
-    readmitted_total = 0
     jac = 1.0
     for step in range(last + 1):
         scores = contents.attention[(step, layer)][surv_rows].astype(np.float64)
         snapshot = AttentionSnapshot(step=step, layer=layer, scores=scores, token_ids=ids)
-        if step == 0:
-            decision = dynkv.initial_prune(snapshot, caches["dycoke"], config)
-            dynkv.one_shot_prune(snapshot, caches["one_shot"], config)
-        else:
-            decision = dynkv.dynamic_swap(snapshot, caches["dycoke"], config)
-            dynkv.dynamic_swap(snapshot, caches["one_shot"], config)
-        caches["dycoke"].check_invariants(step)
+        decision = _decide("dycoke", step, snapshot, tracked, config)
+        _decide("one_shot", step, snapshot, baseline, config)
+        tracked.check_invariants(step)
         audit.append(decision.to_json())
-        readmitted_total += len(decision.readmitted)
-        jac = jaccard(caches["dycoke"].active_ids(), caches["one_shot"].active_ids())
-        steps.append(
-            {
-                "step": step,
-                "readmitted": len(decision.readmitted),
-                "evicted": len(decision.evicted),
-                "threshold": decision.threshold,
-                "jaccard_one_shot": jac,
-            }
-        )
+        jac = jaccard(tracked.active_ids(), baseline.active_ids())
+        steps.append(_step_row(step, decision) | {"jaccard_one_shot": jac})
 
     echo = {"trace_path": str(trace_path), "config": asdict(config)}
     return ReplayResult(
@@ -412,7 +418,7 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
         retained_ratio_final=quota / contents.grid.total_tokens,
         steps=steps,
         audit=audit,
-        readmitted_total=readmitted_total,
+        readmitted_total=sum(row["readmitted"] for row in steps),
         final_jaccard_one_shot=jac,
     )
 
@@ -439,31 +445,6 @@ class BenchResult:
         }
 
 
-def _bench_cache(
-    decoder: ToyDecoder,
-    token_ids,
-    n_text: int,
-    quota: int,
-    eval_layer: int,
-    reserve: int,
-    seed: int,
-) -> dynkv.DualCache:
-    # Synthetic K/V fill: decode-step cost depends on cache shape, not values,
-    # so the expensive prefill GEMMs are skipped for timing runs.
-    d = decoder.dims.hidden
-    n = len(token_ids) + n_text
-    kvs = []
-    for layer in range(decoder.dims.layers):
-        rng = np.random.default_rng([seed % 2**32, 400, layer])
-        kvs.append(
-            (
-                rng.standard_normal((n, d)).astype(decoder.dtype),
-                rng.standard_normal((n, d)).astype(decoder.dtype),
-            )
-        )
-    return dynkv.DualCache(kvs, token_ids, n_text, quota, eval_layer, reserve_steps=reserve)
-
-
 def run_bench(
     dims: ModelDims,
     config: CompressionConfig,
@@ -486,6 +467,10 @@ def run_bench(
     config.validate()
     if config.eval_layer >= dims.layers:
         raise ValueError(f"eval_layer {config.eval_layer} must be < layers {dims.layers}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
@@ -503,7 +488,6 @@ def run_bench(
 
     results: dict = {}
     means: list[float] = []
-    d = dims.hidden
     for slot, strat in enumerate(strategies):
         if strat == "none":
             ids = grid.all_token_ids()
@@ -511,23 +495,24 @@ def run_bench(
         else:
             ids = ttm.token_ids
             quota = dynkv.retention_quota(len(ids), config.p_rate)
-        cache = _bench_cache(
-            decoder, ids, text_tokens, quota, config.eval_layer,
-            reserve=steps + warmup + 2, seed=config.seed,
+        # Synthetic K/V fill: decode-step cost depends on cache shape, not values,
+        # so the expensive prefill GEMMs are skipped for timing runs.
+        shape = (len(ids) + text_tokens, dims.hidden)
+        kvs = []
+        for layer in range(dims.layers):
+            rng = np.random.default_rng([config.seed % 2**32, 400, layer])
+            kvs.append(
+                (
+                    rng.standard_normal(shape).astype(decoder.dtype),
+                    rng.standard_normal(shape).astype(decoder.dtype),
+                )
+            )
+        cache = dynkv.DualCache(
+            kvs, ids, text_tokens, quota, config.eval_layer, reserve_steps=steps + warmup + 2
         )
-        driver = _StrategyDriver(strat, config, cache)
-        emb = emb0
-        times: list[float] = []
-        peak_resident = 0
-        for step in range(warmup + steps):
-            t0 = time.perf_counter()
-            hidden, _ = decoder.decode_step(emb, cache, step, on_snapshot=driver.hook(step))
-            times.append(time.perf_counter() - t0)
-            _, emb = decoder.select_token(hidden)
-            resident_rows = sum(
-                st.vis_k.shape[0] + st.extra_len for st in cache.layers
-            ) * 2  # K and V
-            peak_resident = max(peak_resident, resident_rows * d * 4)
+        times = _decode(decoder, cache, emb0, warmup + steps, strat, config)[4]
+        # Visual storage is fixed and extra rows only grow: the last step is the peak.
+        resident_rows = sum(st.vis_k.shape[0] + st.extra_len for st in cache.layers)
         measured = times[warmup:]
         mean_s = float(np.mean(measured))
         means.append(mean_s)
@@ -536,10 +521,10 @@ def run_bench(
             "mean_step_s": mean_s,
             "median_step_s": float(np.median(measured)),
             "steps_measured": len(measured),
-            "peak_resident_cache_bytes": peak_resident,
+            "peak_resident_cache_bytes": resident_rows * 2 * dims.hidden * 4,  # K and V
             "active_visual_rows_pruned_layers": len(cache.active_rows),
             "visual_rows_total": grid.total_tokens,
-            "stage1_survivors": len(ids) if strat != "none" else grid.total_tokens,
+            "stage1_survivors": len(ids),
         }
 
     echo = {
@@ -566,17 +551,7 @@ def run_bench(
 
 def _sweep_cell(args: tuple[RunSpec, float, int, float]) -> dict:
     base, k, l, p = args
-    row = {
-        "K": k,
-        "L": l,
-        "P": p,
-        "retained_ratio_stage1": "",
-        "retained_ratio_final": "",
-        "flops_ratio": "",
-        "mean_swap_churn": "",
-        "mean_step_latency_ms": "",
-        "status": "ok",
-    }
+    row = dict.fromkeys(SWEEP_COLUMNS, "") | {"K": k, "L": l, "P": p, "status": "ok"}
     try:
         spec = replace(
             base,

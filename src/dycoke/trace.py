@@ -128,8 +128,9 @@ def write_trace(
 def load_trace(path) -> TraceContents:
     """Read a trace file, validating structure and finiteness.
 
-    Raises BadMagic, VersionUnsupported, TruncatedPayload, or NonFiniteValue,
-    each naming the byte offset of the problem.
+    Raises BadMagic, VersionUnsupported, TruncatedPayload, NonFiniteValue, or
+    TraceError (bad shape, block size, duplicate block, trailing bytes), each
+    naming the byte offset of the problem.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -175,6 +176,13 @@ def load_trace(path) -> TraceContents:
         if len(raw) < offset + _BLOCK_HEAD.size:
             raise TruncatedPayload("file ends inside attention block header", len(raw))
         step, layer, count = _BLOCK_HEAD.unpack_from(raw, offset)
+        if count != n_visual:
+            raise TraceError(
+                f"attention block ({step},{layer}) has {count} scores, expected {n_visual}",
+                offset + 8,
+            )
+        if (step, layer) in attention:
+            raise TraceError(f"duplicate attention block ({step},{layer})", offset)
         offset += _BLOCK_HEAD.size
         if len(raw) < offset + 4 * count:
             raise TruncatedPayload(
@@ -190,5 +198,7 @@ def load_trace(path) -> TraceContents:
             )
         attention[(step, layer)] = row.copy()
         offset += 4 * count
+    if offset != len(raw):
+        raise TraceError(f"{len(raw) - offset} trailing bytes after the last block", offset)
 
     return TraceContents(grid=grid, text=text, attention=attention, layers=layers, heads=heads)

@@ -185,6 +185,20 @@ def test_bench_same_strategy_speedup_near_one(tmp_path):
     assert 0.5 < json.loads(out.read_text())["speedup"] < 2.0
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--model", "custom"], "requires --d and --m"),
+        (["--model", "custom", "--d", "64", "--m", "128", "--steps", "0"], "steps must be >= 1"),
+        (["--model", "custom", "--d", "64", "--m", "128", "--warmup", "-1"], "warmup must be >= 0"),
+    ],
+)
+def test_bench_bad_input_exits_2(extra, message, capsys):
+    code = run_cli("bench", *extra, "--layers", "2", "--frames", "4", "--tokens-per-frame", "8")
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cost_stdout_when_no_report(capsys):
     assert run_cli("cost", "--model", "0.5b", "-K", "0.5", "-P", "0.7") == 0
     data = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -123,6 +124,47 @@ def test_flops_summary_consistency():
     assert 0 < f["ratio_vs_full"] <= 1
 
 
+def _audit_digest(audit) -> str:
+    keys = ("step", "retained_count", "readmitted_count", "evicted_count", "readmitted_ids", "evicted_ids")
+    rows = [{k: entry[k] for k in keys} for entry in audit]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# Discrete outputs of one small spec per strategy. Integers and ids only: float
+# bits (thresholds, ratios, hidden states) are deliberately not pinned.
+_SIM_PINS = {
+    # strategy: (decode FLOPs, quota, audit digest, readmitted total, evicted total)
+    "dycoke": (110720, 15, "e78f432a6922e85a", 3, 38),
+    "one_shot": (110720, 15, "e1a99f2f376d885e", 0, 35),
+    "random": (110720, 15, "6ca62fe890d00ec5", 0, 35),
+    "none": (155520, 50, "4f53cda18c2baa0c", 0, 0),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(_SIM_PINS))
+def test_simulate_discrete_outputs_pinned(strategy):
+    decode, quota, digest, readmitted, evicted = _SIM_PINS[strategy]
+    res = run_simulation(small_spec(seed=0, decode_steps=8, strategy=strategy))
+    out = res.to_json()
+    assert out["decoded_ids"] == [119] * 9
+    assert out["tokens"] == {
+        "visual_total": 80,
+        "stage1_retained": 50,
+        "stage1_removed": 30,
+        "merge_records": 30,
+        "text": 3,
+        "generated": 9,
+        "retention_quota": quota,
+    }
+    flops = out["flops"]
+    assert (flops["prefill"], flops["decode"], flops["full_total"]) == (992160, decode, 2146080)
+    assert flops["total"] == 992160 + decode
+    assert len(res.audit) == (0 if strategy == "none" else 8)
+    assert _audit_digest(res.audit) == digest
+    assert sum(s["readmitted"] for s in res.steps) == readmitted
+    assert sum(s["evicted"] for s in res.steps) == evicted
+
+
 # -- replay ---------------------------------------------------------------------
 
 
@@ -175,6 +217,20 @@ def test_replay_drift_readmits_late_frames(tmp_path):
     }
     # tokens from the growing late frames come back from the parked store
     assert readmitted_frames and max(readmitted_frames) >= frames - 2
+
+
+def test_replay_discrete_outputs_pinned(tmp_path):
+    path = tmp_path / "drift.dyck"
+    frames = 8
+    _make_replay_trace(
+        path, 30, lambda t, f, p: (frames - f) + t * 0.05 * f + p * 1e-3, frames=frames
+    )
+    res = run_replay(path, CompressionConfig(k_rate=0.5, eval_layer=3, p_rate=0.7, seed=0))
+    out = res.to_json()
+    assert out["tokens"] == {"visual_total": 64, "stage1_retained": 40, "retention_quota": 12}
+    assert res.readmitted_total == 18
+    assert sum(s["evicted"] for s in res.steps) == 46
+    assert _audit_digest(res.audit) == "de64f8c69702a2e3"
 
 
 def test_replay_missing_block_names_step_and_layer(tmp_path):

@@ -2,11 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from dycoke.cli import main
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid, synth_text
 from dycoke.trace import (
     BadMagic,
     NonFiniteValue,
+    TraceError,
     TruncatedPayload,
     VersionUnsupported,
     load_trace,
@@ -138,3 +141,75 @@ def test_nonfinite_value_names_offset(tmp_path):
     with pytest.raises(NonFiniteValue) as err:
         load_trace(path)
     assert err.value.offset == payload_start + 4 * bad_index
+
+
+# A 2x3 grid at dim 4 with no text: blocks start after the header and payload.
+_BLOCKS_AT = 4 + 2 + 24 + 4 + 4 * 4 * 6
+_BLOCK_BYTES = 12 + 4 * 6
+
+
+def _two_block_trace(tmp_path):
+    path = tmp_path / "b.dyck"
+    grid = synth_grid(CompressionConfig(seed=8), 2, 3, 4)
+    blocks = {(0, 0): np.ones(6, np.float32), (1, 0): np.full(6, 2.0, np.float32)}
+    write_trace(path, grid, TextTokens.empty(4), blocks)
+    return path, bytearray(path.read_bytes())
+
+
+def test_block_count_mismatch_names_count_field(tmp_path):
+    path, raw = _two_block_trace(tmp_path)
+    raw[_BLOCKS_AT + 8 : _BLOCKS_AT + 12] = struct.pack("<I", 5)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TraceError, match="has 5 scores, expected 6") as err:
+        load_trace(path)
+    assert err.value.offset == _BLOCKS_AT + 8
+
+
+def test_duplicate_block_rejected(tmp_path):
+    path, raw = _two_block_trace(tmp_path)
+    second = _BLOCKS_AT + _BLOCK_BYTES
+    raw[second : second + 4] = struct.pack("<I", 0)  # second block becomes (0, 0) too
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TraceError, match="duplicate") as err:
+        load_trace(path)
+    assert err.value.offset == second
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path, raw = _two_block_trace(tmp_path)
+    assert len(raw) == _BLOCKS_AT + 2 * _BLOCK_BYTES
+    path.write_bytes(bytes(raw) + b"\x00\x01\x02")
+    with pytest.raises(TraceError, match="3 trailing bytes") as err:
+        load_trace(path)
+    assert err.value.offset == len(raw)
+
+
+def _replay_trace_bytes(tmp_path) -> bytes:
+    grid = synth_grid(CompressionConfig(seed=0), 4, 8, 8)
+    rng = np.random.default_rng(1)
+    attention = {(t, 2): rng.random(grid.total_tokens).astype(np.float32) for t in range(5)}
+    path = tmp_path / "valid.dyck"
+    write_trace(path, grid, TextTokens.empty(8), attention)
+    return path.read_bytes()
+
+
+# Header, 4x8 tokens at dim 8, then five blocks of 32 scores.
+_REPLAY_LEN = 34 + 4 * 8 * 32 + 5 * (12 + 4 * 32)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(cut=None, flips=[(_REPLAY_LEN - 4 * 32 - 4, 0x20)])  # last block's count 32 -> 0
+@given(
+    cut=st.none() | st.integers(0, _REPLAY_LEN - 1),
+    flips=st.lists(st.tuples(st.integers(0, _REPLAY_LEN - 1), st.integers(1, 255)), max_size=4),
+)
+def test_replay_cli_never_raises_on_corrupt_trace(tmp_path, cut, flips):
+    raw = bytearray(_replay_trace_bytes(tmp_path))
+    assert len(raw) == _REPLAY_LEN
+    for at, mask in flips:
+        raw[at] ^= mask
+    path = tmp_path / "corrupt.dyck"
+    path.write_bytes(bytes(raw[:cut]))
+    code = main(["replay", "--trace", str(path), "-K", "0.5", "-L", "2", "-P", "0.7",
+                 "--report", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3)
