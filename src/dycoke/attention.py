@@ -89,12 +89,47 @@ def project_qkv(
     return h @ weights.w_q, h @ weights.w_k, h @ weights.w_v
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    # float64 softmax keeps row sums within 1e-6 even for float32 inputs
-    x = logits.astype(np.float64)
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=-1, keepdims=True)
+# Query rows per prefill tile. At 3k rows, d=128, 4 heads, float64 and one
+# BLAS thread, 64 was fastest of 16-512 (32 and 128 within noise of it).
+_PREFILL_BLOCK = 64
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place; ``x`` must be float64.
+
+    float64 keeps row sums within 1e-6 even for float32 inputs.
+    """
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _causal_attention(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, denom: float
+) -> np.ndarray:
+    """Causal multi-head attention of every row of ``q``, one query tile at a time.
+
+    A tile of rows [lo, hi) attends to the key prefix [0, hi) only, so the
+    upper triangle beyond the tile is never computed; only the diagonal
+    block is masked. Working memory is one (heads, tile, hi) float64 tile,
+    not an n x n matrix per head. Returns the context rows in ``q``'s dtype.
+    """
+    n, d = q.shape
+    hd = d // heads
+    qh, kh = (x.reshape(n, heads, hd).transpose(1, 0, 2) for x in (q, k))
+    vh = v.reshape(n, heads, hd).transpose(1, 0, 2).astype(np.float64)
+    ctx = np.empty_like(q)
+    ctx_h = ctx.reshape(n, heads, hd).transpose(1, 0, 2)
+    upper = np.triu(np.ones((_PREFILL_BLOCK, _PREFILL_BLOCK), dtype=bool), k=1)
+    for lo in range(0, n, _PREFILL_BLOCK):
+        hi = min(lo + _PREFILL_BLOCK, n)
+        logits = (qh[:, lo:hi] @ kh[:, :hi].transpose(0, 2, 1)).astype(np.float64, copy=False)
+        logits /= denom
+        b = hi - lo
+        np.copyto(logits[:, :, lo:], -np.inf, where=upper[:b, :b])
+        ctx_h[:, lo:hi] = _softmax_rows(logits) @ vh[:, :hi]
+    return ctx
 
 
 def attention_segments(
@@ -135,7 +170,7 @@ def attention_segments(
         logits[:, pos : pos + n] = np.einsum("nhd,hd->hn", kh, qh) / denom
         pos += n
 
-    scores = _softmax_rows(logits)  # (heads, total)
+    scores = _softmax_rows(logits)  # (heads, total), in place
 
     out = np.zeros(d, dtype=np.float64)
     pos = 0
@@ -220,24 +255,17 @@ class ToyDecoder:
 
         Returns per-layer (K, V) matrices for caching plus the final-layer
         hidden state of every position. Used for prefill and as the
-        no-cache reference path.
+        no-cache reference path. Attention runs on all heads at once in
+        tiles of query rows, each against its key prefix only, so working
+        memory is O(heads * tile * n) rather than O(n^2).
         """
         h = np.ascontiguousarray(rows, dtype=self.dtype)
-        n = h.shape[0]
-        heads, hd = self.dims.heads, self.dims.head_dim
-        denom = np.sqrt(hd if self.scale == "head" else self.dims.hidden)
-        causal = np.tril(np.ones((n, n), dtype=bool))
+        denom = np.sqrt(self.dims.head_dim if self.scale == "head" else self.dims.hidden)
         kvs = []
         for weights in self.layers:
             q, k, v = project_qkv(h, weights)
             kvs.append((k, v))
-            ctx = np.empty_like(h)
-            for head in range(heads):
-                sl = slice(head * hd, (head + 1) * hd)
-                logits = (q[:, sl] @ k[:, sl].T) / denom
-                logits = np.where(causal, logits, -np.inf)
-                scores = _softmax_rows(logits)
-                ctx[:, sl] = (scores @ v[:, sl].astype(np.float64)).astype(self.dtype)
+            ctx = _causal_attention(q, k, v, self.dims.heads, denom)
             h = np.maximum(ctx @ weights.w_o @ weights.ffn_in, 0.0) @ weights.ffn_out
         return kvs, h
 

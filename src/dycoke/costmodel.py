@@ -112,6 +112,8 @@ def compression_report(
     Compressed prefill runs on the idealized stage-1 retained visual tokens +
     text; compressed decode attends over the final retained visual tokens + text.
     """
+    if n_visual < 0 or n_text < 0:
+        raise ValueError(f"token counts must be >= 0, got n_visual={n_visual} n_text={n_text}")
     stage1, final = retained_ratio(config)
     n1 = round(stage1 * n_visual)
     n2 = round(final * n_visual)

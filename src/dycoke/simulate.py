@@ -471,6 +471,8 @@ def run_bench(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if text_tokens < 0:
+        raise ValueError("text_tokens must be >= 0")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")

@@ -1,7 +1,10 @@
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dycoke.attention import (
     DimensionMismatch,
@@ -240,6 +243,60 @@ def test_prefill_decode_consistency():
     full_rows = np.vstack([prompt, np.array(embeddings[:-1])])
     _, hidden_all = dec.forward_full(full_rows)
     np.testing.assert_allclose(np.array(outputs), hidden_all[6:], atol=1e-5)
+
+
+def causal_reference(dec: ToyDecoder, rows: np.ndarray) -> np.ndarray:
+    """Final hidden states with each position attending to its K/V prefix [0, i]."""
+    h = rows.astype(dec.dtype)
+    for weights in dec.layers:
+        q, k, v = project_qkv(h, weights)
+        ctx = np.vstack(
+            [attention_row(q[i], k[: i + 1], v[: i + 1], dec.dims.heads, dec.scale)[0]
+             for i in range(len(h))]
+        )
+        h = np.maximum(ctx @ weights.w_o @ weights.ffn_in, 0.0) @ weights.ffn_out
+    return h
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    heads=st.sampled_from([1, 2, 4]),
+    scale=st.sampled_from(["head", "full"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**16),
+)
+@example(n=64, heads=4, scale="head", dtype=np.float64, seed=0)
+@example(n=128, heads=2, scale="full", dtype=np.float32, seed=1)
+def test_forward_full_matches_per_position_oracle(n, heads, scale, dtype, seed):
+    # n spans below, at and between multiples of the prefill tile size.
+    dims = ModelDims(layers=2, hidden=16, ffn_inner=32, heads=heads)
+    dec = ToyDecoder(dims, seed=seed, scale=scale, dtype=dtype)
+    rows = np.random.default_rng(seed).standard_normal((n, 16))
+    kvs, hidden = dec.forward_full(rows)
+    for layer, (k, v) in enumerate(kvs):
+        # Each layer's input is the output of the decoder cut below that layer.
+        below = copy.copy(dec)
+        below.layers = dec.layers[:layer]
+        layer_in = below.forward_full(rows)[1]
+        _, k_ref, v_ref = project_qkv(layer_in, dec.layers[layer])
+        assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
+    atol = 1e-10 if dtype is np.float64 else 1e-4
+    assert hidden.dtype == dtype
+    np.testing.assert_allclose(hidden, causal_reference(dec, rows), rtol=0, atol=atol)
+
+
+def test_forward_full_peak_memory_below_one_logit_matrix():
+    n = 1024
+    dec = ToyDecoder(ModelDims(layers=1, hidden=32, ffn_inner=64, heads=4), seed=0)
+    rows = np.random.default_rng(0).standard_normal((n, 32))
+    tracemalloc.start()
+    try:
+        dec.forward_full(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.float64).itemsize
 
 
 def test_cache_length_bookkeeping():

@@ -191,12 +191,28 @@ def test_bench_same_strategy_speedup_near_one(tmp_path):
         (["--model", "custom"], "requires --d and --m"),
         (["--model", "custom", "--d", "64", "--m", "128", "--steps", "0"], "steps must be >= 1"),
         (["--model", "custom", "--d", "64", "--m", "128", "--warmup", "-1"], "warmup must be >= 0"),
+        (["--model", "custom", "--d", "64", "--m", "128", "--text-tokens", "-1"],
+         "text_tokens must be >= 0"),
     ],
 )
 def test_bench_bad_input_exits_2(extra, message, capsys):
     code = run_cli("bench", *extra, "--layers", "2", "--frames", "4", "--tokens-per-frame", "8")
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--text-tokens", "-5"], "token counts must be >= 0"),
+        (["--frames", "-1", "--text-tokens", "500"], "token counts must be >= 0"),
+    ],
+)
+def test_cost_bad_input_exits_2(extra, message, capsys):
+    assert run_cli("cost", "--model", "0.5b", *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cost_stdout_when_no_report(capsys):
