@@ -302,7 +302,7 @@ class ToyDecoder:
                     step=step,
                     layer=layer_idx,
                     scores=avg_row[:n_visual].copy(),
-                    token_ids=cache.scoreable_ids(layer_idx),
+                    token_ids=cache.token_ids,
                     row_total=float(avg_row.sum()),
                 )
                 if on_snapshot is not None:

@@ -76,7 +76,7 @@ def _dims_from(args) -> ModelDims:
     return ModelDims(
         layers=args.layers,
         hidden=args.dim,
-        ffn_inner=args.ffn if args.ffn else 2 * args.dim,
+        ffn_inner=args.ffn if args.ffn is not None else 2 * args.dim,
         heads=args.heads,
     )
 
@@ -166,11 +166,9 @@ def cmd_cost(args) -> int:
     report = costmodel.compression_report(
         config, dims, n_visual, n_text=args.text_tokens, decode_steps=args.steps
     )
-    full = costmodel.CostInputs(
-        dims, n_visual + args.text_tokens, args.steps, n_visual + args.text_tokens
-    )
-    full_pre = costmodel.prefill_flops(full)
-    full_dec = costmodel.decode_flops(full)
+    if args.frames < 1 or args.tokens_per_frame < 1:
+        raise ValueError("frames and tokens_per_frame must be >= 1")
+    full_pre, full_dec = report.full
     _emit(
         {
             "schema": simulate.REPORT_SCHEMA,

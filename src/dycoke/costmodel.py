@@ -38,6 +38,7 @@ class CostReport:
     retained_ratio_stage1: float
     retained_ratio_final: float
     flops_ratio_vs_full: float
+    full: tuple[int, int]  # (prefill, decode) FLOPs of the full-token run; not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -78,6 +79,19 @@ def total_flops(inputs: CostInputs) -> int:
     return prefill_flops(inputs) + decode_flops(inputs)
 
 
+def phase_flops(
+    dims: ModelDims, n_visual: int, n_text: int, survivors: int, active: int, decode_steps: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(prefill, decode) FLOPs of a compressed run, then of the full-token run.
+
+    The compressed run prefills ``survivors`` visual tokens + text and decodes
+    over ``active`` + text; the full run keeps all ``n_visual`` in both phases.
+    """
+    compressed = CostInputs(dims, survivors + n_text, decode_steps, active + n_text)
+    full = CostInputs(dims, n_visual + n_text, decode_steps, n_visual + n_text)
+    return tuple((prefill_flops(c), decode_flops(c)) for c in (compressed, full))
+
+
 def retained_ratio(config: CompressionConfig) -> tuple[float, float]:
     """Idealized (stage-1, final) retained fractions.
 
@@ -115,17 +129,15 @@ def compression_report(
     if n_visual < 0 or n_text < 0:
         raise ValueError(f"token counts must be >= 0, got n_visual={n_visual} n_text={n_text}")
     stage1, final = retained_ratio(config)
-    n1 = round(stage1 * n_visual)
-    n2 = round(final * n_visual)
-    inputs = CostInputs(dims, n1 + n_text, decode_steps, n2 + n_text)
-    full = CostInputs(dims, n_visual + n_text, decode_steps, n_visual + n_text)
-    pre = prefill_flops(inputs)
-    dec = decode_flops(inputs)
+    (pre, dec), full = phase_flops(
+        dims, n_visual, n_text, round(stage1 * n_visual), round(final * n_visual), decode_steps
+    )
     return CostReport(
         prefill_flops=pre,
         decode_flops=dec,
         total_flops=pre + dec,
         retained_ratio_stage1=stage1,
         retained_ratio_final=final,
-        flops_ratio_vs_full=(pre + dec) / total_flops(full),
+        flops_ratio_vs_full=(pre + dec) / sum(full),
+        full=full,
     )

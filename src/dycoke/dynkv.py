@@ -136,6 +136,7 @@ class DualCache:
         dtype = layer_kvs[0][0].dtype
         capacity = n_text + reserve_steps
         self.token_ids: tuple[TokenId, ...] = tuple(token_ids)
+        self._row_of = {tid: i for i, tid in enumerate(self.token_ids)}
         self.n_text = n_text
         self.quota = quota
         self.eval_layer = eval_layer
@@ -160,15 +161,19 @@ class DualCache:
     def generated_count(self) -> int:
         return self.layers[0].extra_len - self.n_text
 
+    def ids_of(self, rows: np.ndarray) -> tuple[TokenId, ...]:
+        """The TokenIds of survivor ``rows``, in the order given."""
+        return tuple(map(self.token_ids.__getitem__, rows.tolist()))
+
     def active_ids(self) -> tuple[TokenId, ...]:
-        return tuple(self.token_ids[i] for i in self.active_rows)
+        return self.ids_of(self.active_rows)
 
     def parked_ids(self) -> tuple[TokenId, ...]:
         if self.frozen:
             return ()
         mask = np.ones(self.survivor_count, dtype=bool)
         mask[self.active_rows] = False
-        return tuple(self.token_ids[i] for i in np.flatnonzero(mask))
+        return self.ids_of(np.flatnonzero(mask))
 
     # -- per-layer views ------------------------------------------------------
 
@@ -185,9 +190,6 @@ class DualCache:
         extras = (store.extra_k[: store.extra_len], store.extra_v[: store.extra_len])
         return [vis, extras], vis[0].shape[0]
 
-    def scoreable_ids(self, layer: int) -> tuple[TokenId, ...]:
-        return self.active_ids() if self._pruned(layer) else self.token_ids
-
     def append_generated(self, layer: int, k_row, v_row) -> None:
         self.layers[layer].append(k_row, v_row)
 
@@ -202,9 +204,9 @@ class DualCache:
     def apply(self, decision: RetentionDecision) -> None:
         if self.frozen and (decision.readmitted or decision.evicted):
             raise MissingParkedRow("cache is frozen; parked rows were discarded")
-        index = {tid: i for i, tid in enumerate(self.token_ids)}
+        index = self._row_of
         try:
-            rows = np.array(sorted(index[t] for t in decision.retained_ids), dtype=np.intp)
+            rows = np.sort(np.array([index[t] for t in decision.retained_ids], dtype=np.intp))
         except KeyError as exc:
             raise MissingParkedRow(f"decision names unknown token {exc.args[0]}") from exc
         prev_active = set(self.active_rows.tolist())
@@ -247,18 +249,14 @@ class DualCache:
             )
 
 
-def _top_quota(
-    scores: np.ndarray, ids: tuple[TokenId, ...], quota: int
-) -> tuple[tuple[TokenId, ...], float | None]:
-    """Top-``quota`` ids by score, ties broken by TokenId order (ids are sorted)."""
-    if quota > len(ids):
-        raise QuotaExceedsPopulation(f"quota {quota} > population {len(ids)}")
+def _top_quota(scores: np.ndarray, quota: int) -> tuple[np.ndarray, float | None]:
+    """Sorted rows of the top-``quota`` scores; ties go to the lower row (lower TokenId)."""
+    if quota > len(scores):
+        raise QuotaExceedsPopulation(f"quota {quota} > population {len(scores)}")
     if quota == 0:
-        return (), None
-    order = np.lexsort((np.arange(len(ids)), -np.asarray(scores, dtype=np.float64)))
-    take = order[:quota]
-    threshold = float(scores[take[-1]])
-    return tuple(sorted(ids[i] for i in take)), threshold
+        return np.empty(0, dtype=np.intp), None
+    take = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:quota]
+    return np.sort(take), float(scores[take[-1]])
 
 
 def _check_snapshot(snapshot: AttentionSnapshot, cache: DualCache) -> None:
@@ -269,17 +267,16 @@ def _check_snapshot(snapshot: AttentionSnapshot, cache: DualCache) -> None:
 
 
 def _retain(
-    cache: DualCache, step: int, retained: tuple[TokenId, ...], threshold: float | None
+    cache: DualCache, step: int, rows: np.ndarray, threshold: float | None
 ) -> RetentionDecision:
-    """Make ``retained`` the active set; the decision names the rows that moved."""
-    retained_set = set(retained)
-    prev_active = set(cache.active_ids())
+    """Make the sorted survivor ``rows`` active; the decision names the rows that moved."""
+    prev = cache.active_rows  # kept sorted by apply, so the moved rows come out sorted
     decision = RetentionDecision(
         step=step,
-        retained_ids=retained,
+        retained_ids=cache.ids_of(rows),
         threshold=threshold,
-        readmitted=tuple(sorted(retained_set - prev_active)),
-        evicted=tuple(sorted(prev_active - retained_set)),
+        readmitted=cache.ids_of(np.setdiff1d(rows, prev, assume_unique=True)),
+        evicted=cache.ids_of(np.setdiff1d(prev, rows, assume_unique=True)),
     )
     cache.apply(decision)
     return decision
@@ -292,8 +289,8 @@ def _retain_top(
     _check_snapshot(snapshot, cache)
     quota = retention_quota(cache.survivor_count, config.p_rate)
     cache.quota = quota
-    retained, threshold = _top_quota(snapshot.scores, snapshot.token_ids, quota)
-    return _retain(cache, snapshot.step, retained, threshold)
+    rows, threshold = _top_quota(snapshot.scores, quota)
+    return _retain(cache, snapshot.step, rows, threshold)
 
 
 def initial_prune(
@@ -341,7 +338,6 @@ def random_prune(
     cache.quota = quota
     rng = np.random.default_rng([(config.seed if seed is None else seed) % 2**32, 300])
     rows = rng.choice(cache.survivor_count, size=quota, replace=False)
-    retained = tuple(sorted(cache.token_ids[i] for i in rows))
-    decision = _retain(cache, 0, retained, None)
+    decision = _retain(cache, 0, np.sort(rows), None)
     cache.freeze()
     return decision

@@ -234,10 +234,8 @@ def _load_inputs(spec: RunSpec) -> tuple[VisualTokenGrid, TextTokens]:
 def _flops_summary(
     dims: ModelDims, n_visual: int, n_text: int, survivors: int, active: int, steps: int
 ) -> dict:
-    compressed = costmodel.CostInputs(dims, survivors + n_text, steps, active + n_text)
-    full = costmodel.CostInputs(dims, n_visual + n_text, steps, n_visual + n_text)
-    pre, dec = costmodel.prefill_flops(compressed), costmodel.decode_flops(compressed)
-    full_total = costmodel.total_flops(full)
+    (pre, dec), full = costmodel.phase_flops(dims, n_visual, n_text, survivors, active, steps)
+    full_total = sum(full)
     return {
         "prefill": pre,
         "decode": dec,
@@ -379,8 +377,6 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     ttm = apply_ttm(contents.grid, config)
     survivors = ttm.retained_count
     quota = dynkv.retention_quota(survivors, config.p_rate)
-    surv_rows = np.array([contents.grid.row_index(t) for t in ttm.token_ids], dtype=np.intp)
-    ids = tuple(ttm.token_ids)
 
     rows64 = ttm.data.astype(np.float64)
     tracked, baseline = (
@@ -399,13 +395,15 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     steps: list[dict] = []
     jac = 1.0
     for step in range(last + 1):
-        scores = contents.attention[(step, layer)][surv_rows].astype(np.float64)
-        snapshot = AttentionSnapshot(step=step, layer=layer, scores=scores, token_ids=ids)
+        scores = contents.attention[(step, layer)][ttm.rows].astype(np.float64)
+        snapshot = AttentionSnapshot(
+            step=step, layer=layer, scores=scores, token_ids=tracked.token_ids
+        )
         decision = _decide("dycoke", step, snapshot, tracked, config)
         _decide("one_shot", step, snapshot, baseline, config)
         tracked.check_invariants(step)
         audit.append(decision.to_json())
-        jac = jaccard(tracked.active_ids(), baseline.active_ids())
+        jac = jaccard(tracked.active_rows.tolist(), baseline.active_rows.tolist())
         steps.append(_step_row(step, decision) | {"jaccard_one_shot": jac})
 
     echo = {"trace_path": str(trace_path), "config": asdict(config)}

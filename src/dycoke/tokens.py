@@ -62,9 +62,6 @@ class VisualTokenGrid:
             raise IndexError(f"row {row} outside [0, {self.total_tokens})")
         return TokenId(row // self.tokens_per_frame, row % self.tokens_per_frame)
 
-    def row(self, token: TokenId) -> np.ndarray:
-        return self.data[self.row_index(token)]
-
     def frame_rows(self, frame: int) -> np.ndarray:
         start = frame * self.tokens_per_frame
         return self.data[start : start + self.tokens_per_frame]

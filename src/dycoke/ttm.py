@@ -63,6 +63,7 @@ class TtmResult:
     data: np.ndarray
     records: list[MergeRecord]
     retained_ratio: float
+    rows: np.ndarray  # the survivors' grid rows, in token_ids order
 
     @property
     def retained_count(self) -> int:
@@ -142,8 +143,10 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
     config.validate()
     n_v = grid.tokens_per_frame
     quota = per_frame_quota(config.k_rate, n_v)
-    removed_to_kept: dict[TokenId, TokenId] = {}
-    raw_records: list[MergeRecord] = []
+    # Grid row each token stands in for: itself while kept, else its counterpart.
+    kept_as = np.arange(grid.total_tokens)
+    removed: list[int] = []
+    similarities: list[float] = []
 
     for window in partition_windows(grid.frames, config.window_len).windows:
         first = window.frames[0]
@@ -156,47 +159,35 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
                 continue
             sims = _frame_similarities(grid, frame, ref)
             # Sort by similarity descending, position ascending on ties.
-            order = np.lexsort((np.arange(n_v), -sims))
-            for pos in order[:quota]:
-                removed = TokenId(frame, int(pos))
-                kept = TokenId(ref, int(pos))
-                removed_to_kept[removed] = kept
-                raw_records.append(MergeRecord(removed, kept, float(sims[pos])))
+            take = np.lexsort((np.arange(n_v), -sims))[:quota]
+            kept_as[frame * n_v + take] = ref * n_v + take
+            removed.extend((frame * n_v + take).tolist())
+            similarities.extend(sims[take].tolist())
 
-    # Redirect chains: kept targets that were removed themselves resolve to
-    # the same position in the window's first frame.
-    records: list[MergeRecord] = []
-    for rec in raw_records:
-        kept = rec.kept_as
-        while kept in removed_to_kept:
-            kept = removed_to_kept[kept]
-        records.append(MergeRecord(rec.removed, kept, rec.similarity))
-
-    retained_ids = [
-        tid for tid in grid.all_token_ids() if tid not in removed_to_kept
+    # Redirect chains: an odd-offset frame merges into the even-offset frame
+    # before it, which merges into the window's first frame, which is never
+    # pruned; so one lookup takes every target to its final survivor.
+    kept_as = kept_as[kept_as]
+    survivors = np.flatnonzero(kept_as == np.arange(grid.total_tokens))
+    kept = kept_as[removed]
+    records = [
+        MergeRecord(TokenId(*divmod(r, n_v)), TokenId(*divmod(k, n_v)), sim)
+        for r, k, sim in zip(removed, kept.tolist(), similarities)
     ]
-    rows = np.array([grid.row_index(tid) for tid in retained_ids], dtype=np.intp)
-    data = grid.data[rows].copy() if len(rows) else np.zeros((0, grid.hidden_dim), np.float32)
+    data = grid.data[survivors]
+    if config.merge_mode == "mean":
+        # Each kept row becomes the mean of itself and everything merged into
+        # it; np.add.at adds in record order, so every row sums in that order.
+        slots = np.searchsorted(survivors, kept)
+        acc = data.astype(np.float64)
+        np.add.at(acc, slots, grid.data[removed].astype(np.float64))
+        counts = 1 + np.bincount(slots, minlength=len(survivors))
+        data = (acc / counts[:, None]).astype(np.float32)
 
-    if config.merge_mode == "mean" and records:
-        data = _fold_means(grid, retained_ids, records, data)
-
-    ratio = len(retained_ids) / grid.total_tokens
-    return TtmResult(token_ids=retained_ids, data=data, records=records, retained_ratio=ratio)
-
-
-def _fold_means(
-    grid: VisualTokenGrid,
-    retained_ids: list[TokenId],
-    records: list[MergeRecord],
-    data: np.ndarray,
-) -> np.ndarray:
-    """Replace each kept row by the mean of itself and everything merged into it."""
-    index = {tid: i for i, tid in enumerate(retained_ids)}
-    acc = data.astype(np.float64)
-    counts = np.ones(len(retained_ids), dtype=np.float64)
-    for rec in records:
-        i = index[rec.kept_as]
-        acc[i] += grid.row(rec.removed).astype(np.float64)
-        counts[i] += 1.0
-    return (acc / counts[:, None]).astype(np.float32)
+    return TtmResult(
+        token_ids=[TokenId(*divmod(r, n_v)) for r in survivors.tolist()],
+        data=data,
+        records=records,
+        retained_ratio=len(survivors) / grid.total_tokens,
+        rows=survivors,
+    )

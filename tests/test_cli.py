@@ -86,6 +86,16 @@ def test_simulate_bad_config_exits_2(capsys):
     assert "error:" in err and "\n" == err[-1]
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_ffn_zero_exits_2(command, capsys):
+    # --ffn 0 is an invalid width, not a request for the 2*dim default
+    code = run_cli(
+        command, "--frames", "4", "--tokens-per-frame", "6", "--dim", "16", "--ffn", "0"
+    )
+    assert code == 2
+    assert "all dims must be >= 1" in capsys.readouterr().err
+
+
 def test_simulate_eval_layer_out_of_range_exits_2():
     assert (
         run_cli(
@@ -206,6 +216,10 @@ def test_bench_bad_input_exits_2(extra, message, capsys):
     [
         (["--text-tokens", "-5"], "token counts must be >= 0"),
         (["--frames", "-1", "--text-tokens", "500"], "token counts must be >= 0"),
+        (["--frames", "0"], "frames and tokens_per_frame must be >= 1"),
+        (["--tokens-per-frame", "0"], "frames and tokens_per_frame must be >= 1"),
+        (["--frames", "-2", "--tokens-per-frame", "-196"],
+         "frames and tokens_per_frame must be >= 1"),
     ],
 )
 def test_cost_bad_input_exits_2(extra, message, capsys):

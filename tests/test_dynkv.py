@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dycoke.attention import AttentionSnapshot
 from dycoke.dynkv import (
@@ -138,6 +139,44 @@ def test_swap_tracks_sort_oracle_over_drift():
             assert len(cache.active_rows) == quota
             assert set(cache.active_ids()) | set(cache.parked_ids()) == set(cache.token_ids)
             assert set(cache.active_ids()) & set(cache.parked_ids()) == set()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    levels=st.integers(1, 4),
+    p_rate=st.floats(0.0, 1.0),
+    layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_swap_property_tie_heavy_streams(n, levels, p_rate, layers, seed):
+    # Scores drawn from at most four levels, so most decisions hinge on the
+    # TokenId tie-break. Ids span several frames to exercise their ordering.
+    rng = np.random.default_rng(seed)
+    config = CompressionConfig(p_rate=p_rate)
+    codes = np.sort(rng.choice(3 * n, n, replace=False))
+    ids = tuple(TokenId(int(c) // 7, int(c) % 7) for c in codes)
+    kvs = [(rng.standard_normal((n + 2, 4)), rng.standard_normal((n + 2, 4)))
+           for _ in range(layers)]
+    source = [(k.copy(), v.copy()) for k, v in kvs]
+    cache = DualCache(kvs, list(ids), 2, n, eval_layer=0)
+    quota = retention_quota(n, p_rate)
+    prev = set(ids)
+    for step in range(8):
+        scores = rng.integers(0, levels, n) / levels
+        decide = initial_prune if step == 0 else dynamic_swap
+        decision = decide(snap(step, scores, cache), cache, config)
+        cache.check_invariants(step)
+        expect = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:quota]
+        assert decision.retained_ids == tuple(sorted(ids[i] for i in expect))
+        assert decision.readmitted == tuple(sorted(set(decision.retained_ids) - prev))
+        assert decision.evicted == tuple(sorted(prev - set(decision.retained_ids)))
+        assert cache.active_ids() == decision.retained_ids
+        for layer in range(1, layers):  # pruned layers hold exact copies of the source rows
+            k, v = source[layer]
+            assert cache.active_keys(layer).tobytes() == k[cache.active_rows].tobytes()
+            assert cache.active_values(layer).tobytes() == v[cache.active_rows].tobytes()
+        prev = set(decision.retained_ids)
 
 
 def test_no_loss_rows_bit_identical_after_readmission():

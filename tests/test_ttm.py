@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -265,3 +266,59 @@ def test_full_k_rate_prunes_everything_prunable():
     # only the first frame of each window survives
     assert res.retained_count == 2 * 5
     assert {t.frame for t in res.token_ids} == {0, 4}
+
+
+# -- pinned outputs -------------------------------------------------------------
+# Survivor ids, merge records in order (kept_as after redirect, similarity
+# bits) and survivor data bytes: a rewrite of apply_ttm must reproduce them.
+
+
+def _pin_grid() -> VisualTokenGrid:
+    g = synth_grid(CompressionConfig(seed=7), 11, 10, 6, drift=0.3)
+    data = g.data.reshape(11, 10, 6).copy()
+    data[:, :4] = data[0, 0]  # positions 0-3 identical in every frame: similarity ties
+    data[2, 5] = 0.0  # a zero-norm row scores similarity 0
+    return VisualTokenGrid(11, 10, 6, data.reshape(110, 6))
+
+
+def _ttm_digest(res) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(res.token_ids, dtype=np.int64).tobytes())
+    for r in res.records:
+        h.update(np.asarray([*r.removed, *r.kept_as], dtype=np.int64).tobytes())
+        h.update(np.float64(r.similarity).tobytes())
+    h.update(res.data.tobytes())
+    return h.hexdigest()[:16]
+
+
+_TTM_PINS = {
+    # (merge_mode, window_len, k_rate): (survivors, records, digest)
+    ("drop", 2, 0.3): (95, 15, "cf4df7e360575f57"),
+    ("drop", 2, 0.7): (75, 35, "b7c6cc6167104237"),
+    ("drop", 2, 1.0): (60, 50, "9465d1db153975ba"),
+    ("drop", 4, 0.3): (86, 24, "845b298ba1b4210a"),
+    ("drop", 4, 0.7): (54, 56, "48ecdca041933b20"),
+    ("drop", 4, 1.0): (30, 80, "e4be79fe24719ad9"),
+    ("drop", 6, 0.3): (83, 27, "0a2fa44440eac3b7"),
+    ("drop", 6, 0.7): (47, 63, "73f01b60eb32cb06"),
+    ("drop", 6, 1.0): (20, 90, "b9060749c150ef58"),
+    ("mean", 2, 0.3): (95, 15, "cf4df7e360575f57"),
+    ("mean", 2, 0.7): (75, 35, "785da67e52b07071"),
+    ("mean", 2, 1.0): (60, 50, "a3953eeb79b28551"),
+    ("mean", 4, 0.3): (86, 24, "845b298ba1b4210a"),
+    ("mean", 4, 0.7): (54, 56, "35bd9c145b93e5a6"),
+    ("mean", 4, 1.0): (30, 80, "24aafc1a72328c42"),
+    ("mean", 6, 0.3): (83, 27, "0a2fa44440eac3b7"),
+    ("mean", 6, 0.7): (47, 63, "df7f220c27194b1e"),
+    ("mean", 6, 1.0): (20, 90, "43227b5dee671e68"),
+}
+
+
+@pytest.mark.parametrize("mode,window,k", sorted(_TTM_PINS))
+def test_apply_ttm_outputs_pinned(mode, window, k):
+    res = apply_ttm(_pin_grid(), CompressionConfig(k_rate=k, window_len=window, merge_mode=mode))
+    assert (res.retained_count, len(res.records), _ttm_digest(res)) == _TTM_PINS[mode, window, k]
+    # ids stay plain ints so reports and merge logs serialize them as JSON numbers
+    assert all(type(v) is int for t in res.token_ids for v in t)
+    assert all(type(v) is int for r in res.records for v in (*r.removed, *r.kept_as))
+    assert all(type(r.similarity) is float for r in res.records)
