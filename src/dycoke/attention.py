@@ -219,6 +219,10 @@ class AttentionSnapshot:
     row_total: float | None = None
 
 
+# Token vocabulary of the toy decoder's seeded embedding and output projection.
+VOCAB_SIZE = 128
+
+
 class ToyDecoder:
     """Multi-layer decoder with per-layer KV caching and greedy token selection.
 
@@ -227,14 +231,7 @@ class ToyDecoder:
     divides by sqrt(hidden).
     """
 
-    def __init__(
-        self,
-        dims: ModelDims,
-        seed: int = 0,
-        scale: str = "head",
-        dtype=np.float64,
-        vocab_size: int = 128,
-    ):
+    def __init__(self, dims: ModelDims, seed: int = 0, scale: str = "head", dtype=np.float64):
         if scale not in ("head", "full"):
             raise ValueError(f"scale must be 'head' or 'full', got {scale!r}")
         self.dims = dims
@@ -243,9 +240,9 @@ class ToyDecoder:
         self.dtype = np.dtype(dtype)
         self.layers = [layer_weights(dims, seed, l, self.dtype) for l in range(dims.layers)]
         rng = np.random.default_rng([seed % 2**32, 200])
-        self.embedding = rng.standard_normal((vocab_size, dims.hidden)).astype(self.dtype)
+        self.embedding = rng.standard_normal((VOCAB_SIZE, dims.hidden)).astype(self.dtype)
         self.unembed = (
-            rng.standard_normal((dims.hidden, vocab_size)) / np.sqrt(dims.hidden)
+            rng.standard_normal((dims.hidden, VOCAB_SIZE)) / np.sqrt(dims.hidden)
         ).astype(self.dtype)
 
     # -- full-sequence pass -------------------------------------------------

@@ -201,10 +201,11 @@ def cmd_cost(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    layers = 2 if args.layers is None else args.layers
     if args.model != "custom":
         preset = MODEL_PRESETS[args.model]
         dims = ModelDims(
-            layers=args.layers or 2,
+            layers=layers,
             hidden=preset.hidden,
             ffn_inner=preset.ffn_inner,
             heads=preset.heads,
@@ -212,8 +213,7 @@ def cmd_bench(args) -> int:
     else:
         if not (args.d and args.m):
             raise ValueError("--model custom requires --d and --m")
-        dims = ModelDims(layers=args.layers or 2, hidden=args.d, ffn_inner=args.m,
-                         heads=args.heads)
+        dims = ModelDims(layers=layers, hidden=args.d, ffn_inner=args.m, heads=args.heads)
     config = CompressionConfig(
         k_rate=args.k_rate, eval_layer=args.eval_layer, p_rate=args.p_rate,
         window_len=args.window, heads=dims.heads, seed=args.seed,

@@ -16,6 +16,7 @@ membership, so a readmitted token carries bit-identical K/V.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class QuotaExceedsPopulation(ValueError):
 
 
 class MissingParkedRow(RuntimeError):
-    """A decision readmits a token that is not in the parked set."""
+    """Survivor rows out of range, not strictly increasing, or moving a frozen cache."""
 
 
 class InvariantViolation(RuntimeError):
@@ -107,12 +108,19 @@ class _LayerStore:
             self.active_v = self.vis_v[rows]
 
 
+def _is_survivor_rows(rows: np.ndarray, n_surv: int) -> bool:
+    """True if ``rows`` strictly increase inside ``[0, n_surv)``."""
+    inside = rows.size == 0 or (rows[0] >= 0 and rows[-1] < n_surv)
+    return bool(inside) and not np.any(rows[1:] <= rows[:-1])
+
+
 class DualCache:
     """Per-layer active/parked KV store with a shared membership index.
 
-    The retained index set computed at the eval layer applies uniformly to
-    every layer above it, so membership is stored once and each layer keeps
-    a contiguous copy of its active visual rows for fast attention.
+    The retained set computed at the eval layer applies uniformly to every
+    layer above it, so membership is stored once, as the sorted survivor rows
+    ``active_rows``, and each layer keeps a contiguous copy of its active
+    visual rows for fast attention. Row ``i`` is the survivor ``token_ids[i]``.
     """
 
     def __init__(
@@ -131,12 +139,11 @@ class DualCache:
             raise ValueError(
                 f"eval_layer {eval_layer} out of range for {len(layer_kvs)} layers"
             )
-        if list(token_ids) != sorted(token_ids):
-            raise ValueError("survivor token ids must be sorted")
+        self.token_ids: tuple[TokenId, ...] = tuple(token_ids)
+        if any(map(operator.ge, self.token_ids, self.token_ids[1:])):
+            raise ValueError("survivor token ids must be strictly increasing")
         dtype = layer_kvs[0][0].dtype
         capacity = n_text + reserve_steps
-        self.token_ids: tuple[TokenId, ...] = tuple(token_ids)
-        self._row_of = {tid: i for i, tid in enumerate(self.token_ids)}
         self.n_text = n_text
         self.quota = quota
         self.eval_layer = eval_layer
@@ -201,28 +208,24 @@ class DualCache:
 
     # -- decisions -----------------------------------------------------------
 
-    def apply(self, decision: RetentionDecision) -> None:
-        if self.frozen and (decision.readmitted or decision.evicted):
-            raise MissingParkedRow("cache is frozen; parked rows were discarded")
-        index = self._row_of
-        try:
-            rows = np.sort(np.array([index[t] for t in decision.retained_ids], dtype=np.intp))
-        except KeyError as exc:
-            raise MissingParkedRow(f"decision names unknown token {exc.args[0]}") from exc
-        prev_active = set(self.active_rows.tolist())
-        for tid in decision.readmitted:
-            row = index.get(tid)
-            if row is None:
-                raise MissingParkedRow(f"{tid} readmitted but it is not a survivor")
-            if row in prev_active:
-                raise MissingParkedRow(f"{tid} readmitted but it was already active")
+    def apply(self, rows: np.ndarray) -> None:
+        """Make the survivor ``rows`` the active set of every pruned layer.
+
+        Membership arrives as strictly increasing survivor rows inside
+        ``[0, survivor_count)``; rows not named are parked. A frozen cache
+        has discarded its parked rows, so it accepts no change of membership.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if not _is_survivor_rows(rows, self.survivor_count):
+            raise MissingParkedRow(f"rows must strictly increase in [0, {self.survivor_count})")
         changed = not np.array_equal(rows, self.active_rows)
+        if self.frozen and changed:
+            raise MissingParkedRow("cache is frozen; parked rows were discarded")
         self.active_rows = rows
         self.partitioned = True
         if changed:
-            for layer in range(self.layer_count):
-                if self._pruned(layer):
-                    self.layers[layer].rebuild_active(rows)
+            for store in self.layers[self.eval_layer + 1 :]:
+                store.rebuild_active(rows)
 
     def freeze(self) -> None:
         """One-shot semantics: the parked side store is discarded for good."""
@@ -237,11 +240,8 @@ class DualCache:
             "quota": self.quota,
             "frozen": self.frozen,
         }
-        if len(set(self.active_rows.tolist())) != len(self.active_rows):
-            raise InvariantViolation("active set contains duplicate rows", state)
-        if not self.frozen:
-            if state["active"] + state["parked"] != self.survivor_count:
-                raise InvariantViolation("active/parked do not partition survivors", state)
+        if not _is_survivor_rows(self.active_rows, self.survivor_count):
+            raise InvariantViolation("active rows are not distinct sorted survivor rows", state)
         if self.partitioned and state["active"] != self.quota:
             raise InvariantViolation(
                 f"active visual count {state['active']} != retention quota {self.quota}",
@@ -259,34 +259,29 @@ def _top_quota(scores: np.ndarray, quota: int) -> tuple[np.ndarray, float | None
     return np.sort(take), float(scores[take[-1]])
 
 
-def _check_snapshot(snapshot: AttentionSnapshot, cache: DualCache) -> None:
-    if snapshot.token_ids != cache.token_ids:
-        raise ValueError("snapshot does not cover the survivor token set")
-    if len(snapshot.scores) != cache.survivor_count:
-        raise ValueError("snapshot score count != survivor count")
-
-
 def _retain(
     cache: DualCache, step: int, rows: np.ndarray, threshold: float | None
 ) -> RetentionDecision:
     """Make the sorted survivor ``rows`` active; the decision names the rows that moved."""
-    prev = cache.active_rows  # kept sorted by apply, so the moved rows come out sorted
-    decision = RetentionDecision(
+    prev = cache.active_rows  # sorted, like rows, so the moved rows come out sorted
+    cache.apply(rows)
+    return RetentionDecision(
         step=step,
         retained_ids=cache.ids_of(rows),
         threshold=threshold,
         readmitted=cache.ids_of(np.setdiff1d(rows, prev, assume_unique=True)),
         evicted=cache.ids_of(np.setdiff1d(prev, rows, assume_unique=True)),
     )
-    cache.apply(decision)
-    return decision
 
 
 def _retain_top(
     snapshot: AttentionSnapshot, cache: DualCache, config: CompressionConfig
 ) -> RetentionDecision:
     """Rank every survivor by the snapshot and retain the top quota."""
-    _check_snapshot(snapshot, cache)
+    if snapshot.token_ids != cache.token_ids:
+        raise ValueError("snapshot does not cover the survivor token set")
+    if len(snapshot.scores) != cache.survivor_count:
+        raise ValueError("snapshot score count != survivor count")
     quota = retention_quota(cache.survivor_count, config.p_rate)
     cache.quota = quota
     rows, threshold = _top_quota(snapshot.scores, quota)
@@ -309,13 +304,7 @@ def dynamic_swap(
     rows move there. On a frozen (one-shot) cache this is a no-op.
     """
     if cache.frozen:
-        return RetentionDecision(
-            step=snapshot.step,
-            retained_ids=cache.active_ids(),
-            threshold=None,
-            readmitted=(),
-            evicted=(),
-        )
+        return _retain(cache, snapshot.step, cache.active_rows, None)
     return _retain_top(snapshot, cache, config)
 
 
@@ -328,15 +317,13 @@ def one_shot_prune(
     return decision
 
 
-def random_prune(
-    cache: DualCache, config: CompressionConfig, seed: int | None = None
-) -> RetentionDecision:
-    """Ablation baseline: keep a seeded uniform random quota-size subset."""
+def random_prune(cache: DualCache, config: CompressionConfig) -> RetentionDecision:
+    """Ablation baseline: keep a uniform random quota-size subset drawn from ``config.seed``."""
     quota = retention_quota(cache.survivor_count, config.p_rate)
     if quota > cache.survivor_count:
         raise QuotaExceedsPopulation(f"quota {quota} > population {cache.survivor_count}")
     cache.quota = quota
-    rng = np.random.default_rng([(config.seed if seed is None else seed) % 2**32, 300])
+    rng = np.random.default_rng([config.seed % 2**32, 300])
     rows = rng.choice(cache.survivor_count, size=quota, replace=False)
     decision = _retain(cache, 0, np.sort(rows), None)
     cache.freeze()

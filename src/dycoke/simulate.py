@@ -378,16 +378,9 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     survivors = ttm.retained_count
     quota = dynkv.retention_quota(survivors, config.p_rate)
 
-    rows64 = ttm.data.astype(np.float64)
+    # Membership only: one layer, the eval layer, so no pruned-layer rows are copied.
     tracked, baseline = (
-        dynkv.DualCache(
-            [(rows64, rows64), (rows64, rows64)],
-            ttm.token_ids,
-            n_text=0,
-            quota=quota,
-            eval_layer=0,
-            reserve_steps=last + 2,
-        )
+        dynkv.DualCache([(ttm.data, ttm.data)], ttm.token_ids, 0, quota, eval_layer=0)
         for _ in range(2)
     )
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dycoke.cli import main
-from dycoke.simulate import SWEEP_COLUMNS
+from dycoke.simulate import STRATEGIES, SWEEP_COLUMNS
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
 from dycoke.trace import write_trace
 
@@ -212,6 +214,16 @@ def test_bench_bad_input_exits_2(extra, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "model", [["--model", "0.5b"], ["--model", "custom", "--d", "64", "--m", "128"]]
+)
+def test_bench_layers_zero_exits_2(model, capsys):
+    # --layers 0 is an invalid depth, not a request for the 2-layer default
+    code = run_cli("bench", *model, "--layers", "0", "--frames", "4", "--tokens-per-frame", "8")
+    assert code == 2
+    assert "all dims must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "extra, message",
     [
         (["--text-tokens", "-5"], "token counts must be >= 0"),
@@ -248,3 +260,55 @@ def test_invariant_violation_exits_3_with_state_dump(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "invariant violation" in err
     assert json.loads(err.splitlines()[-1]) == {"step": 7, "active": 1, "quota": 2}
+
+
+# Values each CLI input rejects. An example corrupts at most two inputs, so
+# runs reach each single error path as well as the success path.
+_OUT_OF_RANGE = {
+    "K": [-0.5, 1.5], "P": [-0.5, 1.5], "L": [-1, 9], "window": [-1, 0, 3],
+    "frames": [-1, 0], "tpf": [-1, 0], "dim": [-1, 0, 7], "layers": [-1, 0],
+    "heads": [-1, 0], "ffn": [-1, 0], "steps": [-1, 0], "text": [-1], "warmup": [-1],
+}
+
+
+@st.composite
+def _cli_inputs(draw):
+    heads = draw(st.sampled_from([1, 2, 4]))
+    layers = draw(st.integers(1, 4))
+    args = {
+        "K": draw(st.integers(0, 100)) / 100, "P": draw(st.integers(0, 100)) / 100,
+        "L": draw(st.integers(0, layers - 1)), "window": draw(st.sampled_from([2, 4])),
+        "frames": draw(st.integers(1, 4)), "tpf": draw(st.integers(1, 6)),
+        "dim": heads * draw(st.integers(1, 3)), "layers": layers, "heads": heads,
+        "ffn": draw(st.integers(1, 12)), "steps": draw(st.integers(1, 3)),
+        "text": draw(st.integers(0, 3)), "warmup": draw(st.integers(0, 2)),
+    }
+    for name in draw(st.sets(st.sampled_from(sorted(args)), max_size=2)):
+        args[name] = draw(st.sampled_from(_OUT_OF_RANGE[name]))
+    return {name: str(value) for name, value in args.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "bench", "cost"]),
+    a=_cli_inputs(),
+    strategies=st.tuples(st.sampled_from(STRATEGIES), st.sampled_from(STRATEGIES)),
+    merge=st.sampled_from(["drop", "mean"]),
+    dtype=st.sampled_from(["float32", "float64"]),
+)
+def test_cli_exit_code_property(command, a, strategies, merge, dtype):
+    # Any tiny input, valid or not, ends in a documented exit code, never a traceback.
+    shape = ["--frames", a["frames"], "--tokens-per-frame", a["tpf"], "--text-tokens", a["text"],
+             "-K", a["K"], "-P", a["P"], "--layers", a["layers"], "--report", os.devnull]
+    model = ["-L", a["L"], "--window", a["window"], "--heads", a["heads"], "--dtype", dtype]
+    if command == "simulate":
+        argv = ["simulate", *shape, *model, "--dim", a["dim"], "--ffn", a["ffn"],
+                "-R", a["steps"], "--strategy", strategies[0], "--merge-mode", merge]
+    elif command == "bench":
+        argv = ["bench", "--model", "custom", *shape, *model, "--d", a["dim"], "--m", a["ffn"],
+                "--steps", a["steps"], "--warmup", a["warmup"],
+                "--strategies", ",".join(strategies)]
+    else:
+        argv = ["cost", "--model", "custom", *shape, "--d", a["dim"], "--m", a["ffn"],
+                "-R", a["steps"]]
+    assert main(argv) in (0, 2, 3)

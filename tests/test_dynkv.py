@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,20 +213,49 @@ def test_scale_invariance_of_selection():
 
 
 def test_missing_parked_row_detected():
+    # Membership arrives as strictly increasing rows in [0, survivor_count).
     cache = make_cache(6)
     config = CompressionConfig(p_rate=0.7)
     initial_prune(snap(0, [0.5, 0.3, 0.1, 0.05, 0.03, 0.02], cache), cache, config)
-    from dycoke.dynkv import RetentionDecision
+    bad = {
+        "row equal to survivor_count": [0, 6],
+        "negative row": [-1, 0],
+        "duplicated row": [1, 1],
+        "unsorted rows": [1, 0],
+    }
+    for case, rows in bad.items():
+        with pytest.raises(MissingParkedRow):
+            cache.apply(np.array(rows))
+        assert cache.active_rows.tolist() == [0, 1], case  # a rejected apply changes nothing
+    cache.check_invariants(1)
 
-    bogus = RetentionDecision(
-        step=1,
-        retained_ids=(TokenId(0, 0), TokenId(0, 1)),
-        threshold=None,
-        readmitted=(TokenId(0, 0),),  # claims to readmit an already-active token
-        evicted=(),
-    )
-    with pytest.raises(MissingParkedRow):
-        cache.apply(bogus)
+
+def test_frozen_cache_rejects_membership_change():
+    cache = make_cache(6)
+    one_shot_prune(snap(0, [0.5, 0.3, 0.1, 0.05, 0.03, 0.02], cache), cache,
+                   CompressionConfig(p_rate=0.7))
+    cache.apply(np.array([0, 1]))  # the same membership is not a change
+    for rows in ([0, 2], [0], [0, 1, 2]):
+        with pytest.raises(MissingParkedRow):
+            cache.apply(np.array(rows))
+    assert cache.active_rows.tolist() == [0, 1]
+
+
+def test_cache_rejects_repeated_survivor_ids():
+    ids = [TokenId(0, 0), TokenId(0, 0), TokenId(0, 1)]
+    kvs = [(np.zeros((3, 4)), np.zeros((3, 4)))]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DualCache(kvs, ids, 0, 3, 0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DualCache(kvs, ids[::-1], 0, 3, 0)
+
+
+@pytest.mark.parametrize("rows", [[0, 0, 1], [2, 1, 0], [0, 1, 3]])
+def test_invariants_reject_bad_active_rows(rows):
+    cache = make_cache(3, quota=3)
+    cache.active_rows = np.array(rows)  # corrupt on purpose
+    with pytest.raises(InvariantViolation, match="active rows"):
+        cache.check_invariants(0)
 
 
 def test_invariant_violation_carries_state():
@@ -310,7 +341,7 @@ def test_random_prune_uniform_frequency():
     counts = np.zeros(n)
     for t in range(trials):
         cache = make_cache(n, d=1, layers=1)
-        decision = random_prune(cache, config, seed=t)
+        decision = random_prune(cache, replace(config, seed=t))
         for tid in decision.retained_ids:
             counts[tid.position] += 1
     p = quota / n
