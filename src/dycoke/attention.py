@@ -132,6 +132,38 @@ def _causal_attention(
     return ctx
 
 
+def _attend(
+    q: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray]], heads: int, denom: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-query attention over non-empty (n_i, d) key/value segments, unchecked.
+
+    Both products are batched over heads in the keys' storage dtype; only the
+    logits are cast to float64, for the softmax. Returns the (d,) output in
+    the storage dtype and the float64 (heads, sum n_i) scores.
+    """
+    dtype = np.promote_types(segments[0][0].dtype, np.float32)
+    d = q.shape[0]
+    hd = d // heads
+    qh = q.astype(dtype, copy=False).reshape(heads, hd, 1)
+    total = sum(k.shape[0] for k, _ in segments)
+    logits = np.empty((heads, total), dtype=np.float64)
+    pos = 0
+    for k_seg, _ in segments:
+        n = k_seg.shape[0]
+        logits[:, pos : pos + n] = (k_seg.reshape(n, heads, hd).transpose(1, 0, 2) @ qh)[:, :, 0]
+        pos += n
+    logits /= denom
+    scores = _softmax_rows(logits)  # (heads, total), in place
+    weights = scores.astype(dtype, copy=False)[:, None, :]  # (heads, 1, total)
+    out = np.zeros((heads, 1, hd), dtype=dtype)
+    pos = 0
+    for _, v_seg in segments:
+        n = v_seg.shape[0]
+        out += weights[:, :, pos : pos + n] @ v_seg.reshape(n, heads, hd).transpose(1, 0, 2)
+        pos += n
+    return out.reshape(d), scores
+
+
 def attention_segments(
     query: np.ndarray,
     segments: list[tuple[np.ndarray, np.ndarray]],
@@ -141,49 +173,28 @@ def attention_segments(
     """Single-query multi-head attention over concatenated key/value segments.
 
     Segments avoid materializing one big K matrix when the cache is stored
-    in pieces (visual survivors + appended text/generated rows). Returns the
-    output vector, per-head score rows (heads, n), and the head-averaged row.
+    in pieces (visual survivors + appended text/generated rows); empty
+    segments are skipped. Per segment, the logits are one head-batched
+    ``(heads, n, hd) @ (heads, hd, 1)`` matmul and the output one
+    ``(heads, 1, n) @ (heads, n, hd)`` matmul, both in the keys' storage
+    dtype (float32 keys are never upcast); the softmax runs in float64.
+    Returns the output vector in the storage dtype, the float64 per-head
+    score rows (heads, n), and their head average.
     """
     q = np.asarray(query).reshape(-1)
     d = q.shape[0]
     if d % heads != 0:
         raise DimensionMismatch(f"width {d} not divisible by heads {heads}")
-    hd = d // heads
-    total = sum(k.shape[0] for k, _ in segments)
-    if total == 0:
+    live = [(k, v) for k, v in segments if k.shape[0]]
+    if not live:
         raise EmptyKeySet("attention over an empty key set")
-
-    denom = np.sqrt(hd if scale == "head" else d)
-    qh = q.reshape(heads, hd).astype(np.float64)
-
-    logits = np.empty((heads, total), dtype=np.float64)
-    pos = 0
     for k_seg, v_seg in segments:
-        n = k_seg.shape[0]
-        if n == 0:
-            continue
-        if k_seg.shape != v_seg.shape or k_seg.shape[1] != d:
+        if k_seg.shape != v_seg.shape or (k_seg.shape[0] and k_seg.shape[1] != d):
             raise DimensionMismatch(
                 f"segment shapes {k_seg.shape}/{v_seg.shape} incompatible with width {d}"
             )
-        kh = k_seg.reshape(n, heads, hd)
-        logits[:, pos : pos + n] = np.einsum("nhd,hd->hn", kh, qh) / denom
-        pos += n
-
-    scores = _softmax_rows(logits)  # (heads, total), in place
-
-    out = np.zeros(d, dtype=np.float64)
-    pos = 0
-    for _, v_seg in segments:
-        n = v_seg.shape[0]
-        if n == 0:
-            continue
-        vh = v_seg.reshape(n, heads, hd)
-        out += np.einsum("hn,nhd->hd", scores[:, pos : pos + n], vh).reshape(d)
-        pos += n
-
-    dtype = segments[0][1].dtype
-    return out.astype(dtype), scores, scores.mean(axis=0)
+    out, scores = _attend(q, live, heads, np.sqrt(d // heads if scale == "head" else d))
+    return out, scores, scores.mean(axis=0)
 
 
 def attention_row(
@@ -251,25 +262,41 @@ class ToyDecoder:
         """Causal pass over a whole sequence.
 
         Returns per-layer (K, V) matrices for caching plus the final-layer
-        hidden state of every position. Used for prefill and as the
-        no-cache reference path. Attention runs on all heads at once in
-        tiles of query rows, each against its key prefix only, so working
-        memory is O(heads * tile * n) rather than O(n^2).
+        hidden state of every position; the no-cache reference path.
+        Attention runs on all heads at once in tiles of query rows, each
+        against its key prefix only, so working memory is
+        O(heads * tile * n) rather than O(n^2).
         """
-        h = np.ascontiguousarray(rows, dtype=self.dtype)
-        denom = np.sqrt(self.dims.head_dim if self.scale == "head" else self.dims.hidden)
+        return self._causal_layers(np.ascontiguousarray(rows, dtype=self.dtype), self.layers)
+
+    def _causal_layers(
+        self, h: np.ndarray, layers: list[LayerWeights]
+    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
         kvs = []
-        for weights in self.layers:
+        denom = self._denom()
+        for weights in layers:
             q, k, v = project_qkv(h, weights)
             kvs.append((k, v))
             ctx = _causal_attention(q, k, v, self.dims.heads, denom)
             h = np.maximum(ctx @ weights.w_o @ weights.ffn_in, 0.0) @ weights.ffn_out
         return kvs, h
 
+    def _denom(self) -> float:
+        return np.sqrt(self.dims.head_dim if self.scale == "head" else self.dims.hidden)
+
     def prefill(self, rows: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Process the prompt; returns per-layer KV plus the last position's output."""
-        kvs, hidden = self.forward_full(rows)
-        return kvs, hidden[-1]
+        """Process the prompt; returns per-layer KV plus the last position's output.
+
+        Matches ``forward_full``'s last hidden row up to rounding, but only
+        the last row runs the top layer's attention and FFN; every layer's
+        K/V are computed for all rows, bit-identical to ``forward_full``'s.
+        """
+        *below, top = self.layers
+        kvs, h = self._causal_layers(np.ascontiguousarray(rows, dtype=self.dtype), below)
+        q, k, v = project_qkv(h, top)
+        kvs.append((k, v))
+        ctx, _ = _attend(q[-1], [(k, v)], self.dims.heads, self._denom())
+        return kvs, np.maximum(ctx @ top.w_o @ top.ffn_in, 0.0) @ top.ffn_out
 
     # -- incremental decode ---------------------------------------------------
 

@@ -102,7 +102,7 @@ def _spec_from(args) -> simulate.RunSpec:
 def _preset_dims(args) -> ModelDims:
     if args.model != "custom":
         return MODEL_PRESETS[args.model]
-    if not (args.d and args.m and args.layers):
+    if None in (args.d, args.m, args.layers):
         raise ValueError("--model custom requires --d, --m and --layers")
     return ModelDims(layers=args.layers, hidden=args.d, ffn_inner=args.m, heads=1)
 
@@ -211,7 +211,7 @@ def cmd_bench(args) -> int:
             heads=preset.heads,
         )
     else:
-        if not (args.d and args.m):
+        if args.d is None or args.m is None:
             raise ValueError("--model custom requires --d and --m")
         dims = ModelDims(layers=layers, hidden=args.d, ffn_inner=args.m, heads=args.heads)
     config = CompressionConfig(

@@ -453,7 +453,8 @@ def run_bench(
 
     Caches are filled with seeded synthetic K/V rows of the correct shapes;
     speedup is mean(t_first) / mean(t_second) over the post-warmup steps.
-    Resident cache bytes count every stored K and V row at 4 bytes/float.
+    Resident cache bytes count every stored K and V row at the decoder dtype's
+    itemsize (4 bytes for float32, 8 for float64).
     """
     config.validate()
     if config.eval_layer >= dims.layers:
@@ -514,7 +515,7 @@ def run_bench(
             "mean_step_s": mean_s,
             "median_step_s": float(np.median(measured)),
             "steps_measured": len(measured),
-            "peak_resident_cache_bytes": resident_rows * 2 * dims.hidden * 4,  # K and V
+            "peak_resident_cache_bytes": resident_rows * 2 * dims.hidden * decoder.dtype.itemsize,
             "active_visual_rows_pruned_layers": len(cache.active_rows),
             "visual_rows_total": grid.total_tokens,
             "stage1_survivors": len(ids),

@@ -13,6 +13,7 @@ from dycoke.attention import (
     ModelDims,
     ToyDecoder,
     attention_row,
+    attention_segments,
     layer_weights,
     project_qkv,
 )
@@ -56,6 +57,28 @@ def naive_attention(q, keys, values, heads, scale="head"):
         for i, w in enumerate(row):
             out[sl] += w * values[i, sl].astype(np.longdouble)
     return np.asarray(out, dtype=np.float64), np.array(rows, dtype=np.float64)
+
+
+def upcast_einsum_attention(q, segments, heads, scale="head"):
+    """The previous decode kernel: a float64 query against upcast key/value segments."""
+    d = q.shape[0]
+    hd = d // heads
+    denom = np.sqrt(hd if scale == "head" else d)
+    qh = q.reshape(heads, hd).astype(np.float64)
+    logits = np.concatenate(
+        [np.einsum("nhd,hd->hn", k.reshape(-1, heads, hd), qh) / denom for k, _ in segments],
+        axis=1,
+    )
+    logits -= logits.max(axis=1, keepdims=True)
+    scores = np.exp(logits)
+    scores /= scores.sum(axis=1, keepdims=True)
+    out = np.zeros(d)
+    pos = 0
+    for _, v in segments:
+        n = v.shape[0]
+        out += np.einsum("hn,nhd->hd", scores[:, pos : pos + n], v.reshape(n, heads, hd)).reshape(d)
+        pos += n
+    return out, scores
 
 
 # -- dims ---------------------------------------------------------------------
@@ -163,6 +186,40 @@ def test_attention_row_sums_to_one():
         np.testing.assert_allclose(head_rows.sum(axis=1), 1.0, atol=1e-6)
         assert abs(avg.sum() - 1.0) < 1e-6
         assert (head_rows >= 0).all() and (head_rows <= 1).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    heads=st.sampled_from([1, 2, 4, 14]),
+    head_dim=st.integers(1, 8),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    scale=st.sampled_from(["head", "full"]),
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any),
+    seed=st.integers(0, 2**16),
+)
+@example(heads=14, head_dim=4, dtype=np.float32, scale="head", sizes=[0, 30], seed=0)
+@example(heads=4, head_dim=8, dtype=np.float64, scale="full", sizes=[25, 0, 3], seed=1)
+def test_attention_segments_matches_upcast_einsum_oracle(heads, head_dim, dtype, scale, sizes, seed):
+    # Random segment splits, empty segments included, against the float64 oracle.
+    d = heads * head_dim
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(d).astype(dtype)
+    bounds = np.cumsum([0, *sizes])
+    keys = rng.standard_normal((bounds[-1], d)).astype(dtype)
+    values = rng.standard_normal((bounds[-1], d)).astype(dtype)
+    segments = [(keys[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    out, scores, avg = attention_segments(q, segments, heads, scale)
+    want_out, want_scores = upcast_einsum_attention(q, segments, heads, scale)
+    assert out.dtype == dtype and out.shape == (d,)
+    assert scores.dtype == np.float64 and scores.shape == (heads, bounds[-1])
+    if dtype is np.float64:
+        np.testing.assert_allclose(scores, want_scores, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_allclose(scores, want_scores, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(out, want_out, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(avg, scores.mean(axis=0))
 
 
 def test_empty_key_set():
@@ -284,6 +341,34 @@ def test_forward_full_matches_per_position_oracle(n, heads, scale, dtype, seed):
     atol = 1e-10 if dtype is np.float64 else 1e-4
     assert hidden.dtype == dtype
     np.testing.assert_allclose(hidden, causal_reference(dec, rows), rtol=0, atol=atol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 150),
+    layers=st.integers(1, 3),
+    heads=st.sampled_from([1, 2, 4]),
+    scale=st.sampled_from(["head", "full"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**16),
+)
+def test_prefill_matches_forward_full_last_row(n, layers, heads, scale, dtype, seed):
+    # prefill runs the top layer's attention and FFN for the last row only
+    dec = ToyDecoder(ModelDims(layers, 16, 32, heads), seed=seed, scale=scale, dtype=dtype)
+    rows = np.random.default_rng(seed).standard_normal((n, 16))
+    kvs, last = dec.prefill(rows)
+    kvs_ref, hidden_ref = dec.forward_full(rows)
+    for (k, v), (k_ref, v_ref) in zip(kvs, kvs_ref, strict=True):
+        assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
+    assert last.dtype == dtype and last.shape == (16,)
+    atol = 1e-12 if dtype is np.float64 else 1e-5
+    np.testing.assert_allclose(last, hidden_ref[-1], rtol=0, atol=atol)
+
+
+def test_prefill_rejects_wrong_width():
+    dec = ToyDecoder(ModelDims(1, 8, 16, 2), seed=0)
+    with pytest.raises(DimensionMismatch):
+        dec.prefill(np.zeros((3, 6)))
 
 
 def test_forward_full_peak_memory_below_one_logit_matrix():

@@ -197,6 +197,24 @@ def test_bench_same_strategy_speedup_near_one(tmp_path):
     assert 0.5 < json.loads(out.read_text())["speedup"] < 2.0
 
 
+def test_bench_float64_resident_bytes_use_itemsize(tmp_path):
+    out = {}
+    for dtype in ("float32", "float64"):
+        path = tmp_path / f"bench-{dtype}.json"
+        code = run_cli(
+            "bench", "--model", "custom", "--d", "64", "--m", "128", "--layers", "2",
+            "--heads", "4", "--frames", "8", "--tokens-per-frame", "16",
+            "--steps", "4", "--warmup", "1", "--dtype", dtype, "--report", str(path),
+        )
+        assert code == 0
+        out[dtype] = json.loads(path.read_text())["strategies"]
+    for slot, row in out["float64"].items():
+        # every layer stores its survivors, 4 text rows and 5 generated rows
+        rows = 2 * (row["stage1_survivors"] + 4 + 5)
+        assert row["peak_resident_cache_bytes"] == rows * 2 * 64 * 8
+        assert row["peak_resident_cache_bytes"] == 2 * out["float32"][slot]["peak_resident_cache_bytes"]
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -221,6 +239,23 @@ def test_bench_layers_zero_exits_2(model, capsys):
     code = run_cli("bench", *model, "--layers", "0", "--frames", "4", "--tokens-per-frame", "8")
     assert code == 2
     assert "all dims must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--model", "custom", "--d", "0", "--m", "128"],
+        ["bench", "--model", "custom", "--d", "64", "--m", "0"],
+        ["cost", "--model", "custom", "--d", "0", "--m", "128", "--layers", "2"],
+        ["cost", "--model", "custom", "--d", "64", "--m", "128", "--layers", "0"],
+    ],
+)
+def test_custom_zero_dims_reach_dims_check(argv, capsys):
+    # a zero width is an invalid value, not a missing flag
+    assert run_cli(*argv, "--frames", "4", "--tokens-per-frame", "8") == 2
+    err = capsys.readouterr().err
+    assert "all dims must be >= 1" in err
+    assert "requires" not in err
 
 
 @pytest.mark.parametrize(
