@@ -113,22 +113,33 @@ def _causal_attention(
     A tile of rows [lo, hi) attends to the key prefix [0, hi) only, so the
     upper triangle beyond the tile is never computed; only the diagonal
     block is masked. Working memory is one (heads, tile, hi) float64 tile,
-    not an n x n matrix per head. Returns the context rows in ``q``'s dtype.
+    not an n x n matrix per head. As in FlashAttention, each tile's
+    unnormalised P @ V is divided by the row sums afterwards, and 1/denom is
+    applied without a pass of its own: float64 Q is scaled once up front;
+    float32 logits are scaled while they are widened to float64, a copy the
+    tile needs anyway, so they are rounded to float32 only once, as before.
+    Returns the context rows in ``q``'s dtype.
     """
     n, d = q.shape
     hd = d // heads
+    scale = 1.0 / denom
+    if q.dtype == np.float64:
+        q, scale = q * scale, None
     qh, kh = (x.reshape(n, heads, hd).transpose(1, 0, 2) for x in (q, k))
-    vh = v.reshape(n, heads, hd).transpose(1, 0, 2).astype(np.float64)
+    vh = v.reshape(n, heads, hd).transpose(1, 0, 2).astype(np.float64, copy=False)
     ctx = np.empty_like(q)
     ctx_h = ctx.reshape(n, heads, hd).transpose(1, 0, 2)
     upper = np.triu(np.ones((_PREFILL_BLOCK, _PREFILL_BLOCK), dtype=bool), k=1)
     for lo in range(0, n, _PREFILL_BLOCK):
         hi = min(lo + _PREFILL_BLOCK, n)
-        logits = (qh[:, lo:hi] @ kh[:, :hi].transpose(0, 2, 1)).astype(np.float64, copy=False)
-        logits /= denom
+        logits = qh[:, lo:hi] @ kh[:, :hi].transpose(0, 2, 1)
+        if scale is not None:
+            logits = np.multiply(logits, scale, dtype=np.float64)
         b = hi - lo
         np.copyto(logits[:, :, lo:], -np.inf, where=upper[:b, :b])
-        ctx_h[:, lo:hi] = _softmax_rows(logits) @ vh[:, :hi]
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        ctx_h[:, lo:hi] = (logits @ vh[:, :hi]) / logits.sum(axis=-1, keepdims=True)
     return ctx
 
 
@@ -140,6 +151,11 @@ def _attend(
     Both products are batched over heads in the keys' storage dtype; only the
     logits are cast to float64, for the softmax. Returns the (d,) output in
     the storage dtype and the float64 (heads, sum n_i) scores.
+
+    The logits stay a head-batched matmul rather than an
+    ``einsum("nhk,hk->hn")`` that reads K in memory order: the einsum wins
+    only while K is in cache, and a decode step reads K cold after the FFN
+    weights have passed through (at 2,984 x 896 float32, 1.9 vs 1.4 ms cold).
     """
     dtype = np.promote_types(segments[0][0].dtype, np.float32)
     d = q.shape[0]

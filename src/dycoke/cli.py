@@ -129,8 +129,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _spec_from(args)
-    grids = [_parse_grid(g, t) for g, t in
-             ((args.K_grid, float), (args.L_grid, int), (args.P_grid, float))]
+    grids = [_parse_grid(flag, g, t) for flag, g, t in
+             (("--K-grid", args.K_grid, float), ("--L-grid", args.L_grid, int),
+              ("--P-grid", args.P_grid, float))]
     rows = simulate.run_sweep(base, *grids, jobs=args.jobs)
     if args.format == "csv":
         out = sys.stdout if not args.out else open(args.out, "w", newline="")
@@ -146,8 +147,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_grid(text: str, cast):
-    return [cast(v) for v in text.split(",") if v.strip() != ""]
+def _parse_grid(flag: str, text: str, cast):
+    values = [cast(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError(f"{flag} has no values: {text!r}")
+    return values
 
 
 def cmd_replay(args) -> int:

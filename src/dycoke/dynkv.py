@@ -250,13 +250,25 @@ class DualCache:
 
 
 def _top_quota(scores: np.ndarray, quota: int) -> tuple[np.ndarray, float | None]:
-    """Sorted rows of the top-``quota`` scores; ties go to the lower row (lower TokenId)."""
+    """Sorted rows of the top-``quota`` scores; ties go to the lower row (lower TokenId).
+
+    Equals the first ``quota`` rows of a stable descending sort, threshold
+    included: a partition finds the quota-th score, every row above it is
+    kept, and the lowest rows tied with it fill the rest.
+    """
     if quota > len(scores):
         raise QuotaExceedsPopulation(f"quota {quota} > population {len(scores)}")
     if quota == 0:
         return np.empty(0, dtype=np.intp), None
-    take = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:quota]
-    return np.sort(take), float(scores[take[-1]])
+    neg = -np.asarray(scores, dtype=np.float64)
+    cut = neg[np.argpartition(neg, quota - 1)[quota - 1]]
+    if np.isnan(cut):  # NaN sorts last but compares unequal to itself
+        take = np.argsort(neg, kind="stable")[:quota]
+        return np.sort(take), float(scores[take[-1]])
+    keep = neg < cut
+    tied = np.flatnonzero(neg == cut)[: quota - np.count_nonzero(keep)]
+    keep[tied] = True
+    return np.flatnonzero(keep), float(scores[tied[-1]])
 
 
 def _retain(

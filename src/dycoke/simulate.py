@@ -576,6 +576,8 @@ def run_sweep(
     jobs: int = 1,
 ) -> list[dict]:
     """Cross-product sweep over (K, L, P); one row per cell, grid order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [(base, k, l, p) for k in k_values for l in l_values for p in p_values]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

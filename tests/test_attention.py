@@ -12,6 +12,7 @@ from dycoke.attention import (
     MODEL_PRESETS,
     ModelDims,
     ToyDecoder,
+    _causal_attention,
     attention_row,
     attention_segments,
     layer_weights,
@@ -195,18 +196,23 @@ def test_attention_row_sums_to_one():
     dtype=st.sampled_from([np.float32, np.float64]),
     scale=st.sampled_from(["head", "full"]),
     sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any),
+    stride=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )
-@example(heads=14, head_dim=4, dtype=np.float32, scale="head", sizes=[0, 30], seed=0)
-@example(heads=4, head_dim=8, dtype=np.float64, scale="full", sizes=[25, 0, 3], seed=1)
-def test_attention_segments_matches_upcast_einsum_oracle(heads, head_dim, dtype, scale, sizes, seed):
+@example(heads=14, head_dim=4, dtype=np.float32, scale="head", sizes=[0, 30], stride=1, seed=0)
+@example(heads=4, head_dim=8, dtype=np.float64, scale="full", sizes=[25, 0, 3], stride=1, seed=1)
+@example(heads=4, head_dim=8, dtype=np.float32, scale="head", sizes=[17, 5], stride=2, seed=2)
+def test_attention_segments_matches_upcast_einsum_oracle(
+    heads, head_dim, dtype, scale, sizes, stride, seed
+):
     # Random segment splits, empty segments included, against the float64 oracle.
+    # stride > 1 makes every segment a row-strided view, like k[::2].
     d = heads * head_dim
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(d).astype(dtype)
     bounds = np.cumsum([0, *sizes])
-    keys = rng.standard_normal((bounds[-1], d)).astype(dtype)
-    values = rng.standard_normal((bounds[-1], d)).astype(dtype)
+    keys = rng.standard_normal((bounds[-1] * stride, d)).astype(dtype)[::stride]
+    values = rng.standard_normal((bounds[-1] * stride, d)).astype(dtype)[::stride]
     segments = [(keys[a:b], values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     out, scores, avg = attention_segments(q, segments, heads, scale)
     want_out, want_scores = upcast_einsum_attention(q, segments, heads, scale)
@@ -341,6 +347,54 @@ def test_forward_full_matches_per_position_oracle(n, heads, scale, dtype, seed):
     atol = 1e-10 if dtype is np.float64 else 1e-4
     assert hidden.dtype == dtype
     np.testing.assert_allclose(hidden, causal_reference(dec, rows), rtol=0, atol=atol)
+
+
+def dense_causal_reference(dec, rows):
+    """forward_full's hidden rows from one n x n masked softmax per head, in float64."""
+    h = np.asarray(rows, dtype=dec.dtype).astype(np.float64)
+    n = h.shape[0]
+    hd = dec.dims.head_dim
+    denom = math.sqrt(hd if dec.scale == "head" else dec.dims.hidden)
+    future = np.triu(np.ones((n, n), dtype=bool), k=1)
+    for w in dec.layers:
+        w_q, w_k, w_v, w_o, ffn_in, ffn_out = (
+            m.astype(np.float64) for m in (w.w_q, w.w_k, w.w_v, w.w_o, w.ffn_in, w.ffn_out)
+        )
+        q, k, v = h @ w_q, h @ w_k, h @ w_v
+        ctx = np.empty_like(q)
+        for head in range(dec.dims.heads):
+            cols = slice(head * hd, (head + 1) * hd)
+            logits = q[:, cols] @ k[:, cols].T / denom
+            logits[future] = -np.inf
+            p = np.exp(logits - logits.max(axis=1, keepdims=True))
+            ctx[:, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[:, cols]
+        h = np.maximum(ctx @ w_o @ ffn_in, 0.0) @ ffn_out
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("scale", ["head", "full"])
+def test_forward_full_matches_dense_masked_softmax(n, dtype, scale):
+    # n sits at, around and across the 64-row prefill tile.
+    dec = ToyDecoder(ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4), seed=n, scale=scale,
+                     dtype=dtype)
+    rows = np.random.default_rng(n).standard_normal((n, 16))
+    _, hidden = dec.forward_full(rows)
+    assert hidden.dtype == dtype and hidden.shape == (n, 16)
+    atol = 1e-12 if dtype is np.float64 else 1e-5
+    np.testing.assert_allclose(hidden, dense_causal_reference(dec, rows), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n", [1, 64, 130])
+@pytest.mark.parametrize("denom", [np.sqrt(4.0), np.sqrt(16.0), 3.0])
+def test_causal_attention_first_row_is_its_value(n, denom):
+    # Row 0 attends to key 0 alone: weight exactly 1, every other weight exactly 0.
+    dec = ToyDecoder(ModelDims(layers=1, hidden=16, ffn_inner=32, heads=4), seed=5)
+    q, k, v = project_qkv(np.random.default_rng(5).standard_normal((n, 16)), dec.layers[0])
+    ctx = _causal_attention(q, k, v, 4, denom)
+    assert ctx.dtype == np.float64
+    assert ctx[0].tobytes() == v[0].tobytes()
 
 
 @settings(max_examples=30, deadline=None)

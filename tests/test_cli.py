@@ -124,13 +124,25 @@ def test_sweep_csv_columns_fixed(tmp_path):
     assert stage1 == [0.775, 0.625, 0.475]
 
 
-def test_sweep_empty_grid_header_only(tmp_path):
+def test_sweep_empty_grid_exits_2(tmp_path, capsys):
+    # An empty grid is a usage error, not a header-only CSV.
     out = tmp_path / "empty.csv"
-    code = run_cli("sweep", "--K-grid", "", "--out", str(out))
-    assert code == 0
-    with open(out) as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [SWEEP_COLUMNS]
+    for flag, text in (("--K-grid", ""), ("--K-grid", ","), ("--L-grid", " , "), ("--P-grid", "")):
+        assert run_cli("sweep", flag, text, "--out", str(out)) == 2
+        assert f"error: {flag} has no values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_2(jobs, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep", "--frames", "4", "--tokens-per-frame", "6", "--dim", "16", "--layers", "3",
+        "--L-grid", "2", "-R", "1", "--jobs", jobs, "--out", str(out),
+    )
+    assert code == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_replay_cli(tmp_path):

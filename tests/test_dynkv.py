@@ -10,6 +10,7 @@ from dycoke.dynkv import (
     InvariantViolation,
     MissingParkedRow,
     QuotaExceedsPopulation,
+    _top_quota,
     dynamic_swap,
     initial_prune,
     one_shot_prune,
@@ -87,6 +88,49 @@ def test_tie_break_all_equal_scores():
         snap(0, [0.25] * 10, cache), cache, CompressionConfig(p_rate=0.7)
     )
     assert decision.retained_ids == (TokenId(0, 0), TokenId(0, 1), TokenId(0, 2))
+
+
+def stable_sort_top(scores, quota):
+    """The selection _top_quota must equal: a stable descending sort, cut at quota."""
+    take = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:quota]
+    return np.sort(take), float(scores[take[-1]])
+
+
+@pytest.mark.parametrize(
+    "scores, quota, rows, threshold",
+    [
+        ([0.5] * 6, 3, [0, 1, 2], 0.5),  # all equal: the lowest rows win
+        ([0.5] * 6, 6, [0, 1, 2, 3, 4, 5], 0.5),  # quota = n, all equal
+        ([0.1, 0.7, 0.3, 0.9, 0.2], 5, [0, 1, 2, 3, 4], 0.1),  # quota = n
+        ([0.1, 0.7, 0.3, 0.9, 0.2], 1, [3], 0.9),  # quota = 1
+        ([0.4, 0.4, 0.9, 0.4, 0.9], 1, [2], 0.9),  # quota = 1, tie at the top
+        # the 0.4 group (rows 0, 2, 4, 5) straddles the threshold: two of it fit
+        ([0.4, 0.8, 0.4, 0.9, 0.4, 0.4, 0.1], 4, [0, 1, 2, 3], 0.4),
+        ([0.1, 0.8, 0.4, 0.9, 0.4, 0.4, 0.4], 3, [1, 2, 3], 0.4),
+    ],
+)
+def test_top_quota_matches_stable_sort(scores, quota, rows, threshold):
+    scores = np.asarray(scores)
+    got_rows, got_threshold = _top_quota(scores, quota)
+    want_rows, want_threshold = stable_sort_top(scores, quota)
+    assert got_rows.tolist() == want_rows.tolist() == rows
+    assert got_threshold == want_threshold == threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    levels=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan]), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_top_quota_matches_stable_sort_on_ties_zeros_and_nan(levels, data):
+    # Few distinct values, so the quota cut almost always lands in a tie group.
+    scores = np.asarray(levels)
+    quota = data.draw(st.integers(1, len(scores)))
+    got_rows, got_threshold = _top_quota(scores, quota)
+    want_rows, want_threshold = stable_sort_top(scores, quota)
+    assert got_rows.tolist() == want_rows.tolist()
+    assert np.array_equal(got_threshold, want_threshold, equal_nan=True)
+    assert np.signbit(got_threshold) == np.signbit(want_threshold)
 
 
 def test_quota_exceeds_population():
