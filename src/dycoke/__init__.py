@@ -16,7 +16,6 @@ from .attention import (
     MODEL_PRESETS,
     ModelDims,
     ToyDecoder,
-    attention_row,
     project_qkv,
 )
 from .costmodel import (

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import costmodel, dynkv, trace as trace_io
-from .attention import AttentionSnapshot, ModelDims, ToyDecoder
+from .attention import AttentionSnapshot, ModelDims, ToyDecoder, _prefill_workers
 from .tokens import CompressionConfig, TextTokens, VisualTokenGrid, synth_grid, synth_text
 from .ttm import TtmResult, apply_ttm
 
@@ -304,6 +304,7 @@ def run_simulation(spec: RunSpec) -> SimResult:
         timings={
             "ttm_s": ttm_seconds,
             "prefill_s": prefill_seconds,
+            "prefill_workers": _prefill_workers(spec.dims.heads),
             "per_step_s": per_step_s,
             "mean_step_s": float(np.mean(per_step_s)),
             "median_step_s": float(np.median(per_step_s)),

@@ -1,11 +1,15 @@
 import copy
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dycoke import attention
 from dycoke.attention import (
     DimensionMismatch,
     EmptyKeySet,
@@ -13,12 +17,14 @@ from dycoke.attention import (
     ModelDims,
     ToyDecoder,
     _causal_attention,
+    _prefill_workers,
     attention_row,
     attention_segments,
     layer_weights,
     project_qkv,
 )
 from dycoke.dynkv import DualCache, retention_quota, initial_prune, dynamic_swap
+from dycoke.simulate import RunSpec, run_sweep
 from dycoke.tokens import CompressionConfig, TokenId
 
 
@@ -436,6 +442,169 @@ def test_forward_full_peak_memory_below_one_logit_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * np.dtype(np.float64).itemsize
+
+
+# -- prefill head groups ---------------------------------------------------------
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(attention, "_prefill_workers", lambda heads: min(heads, workers))
+
+
+def serial_causal_tiles(q, k, v, heads, denom, block=64):
+    """The single-threaded tile loop, one head at a time, fresh arrays per tile."""
+    n, d = q.shape
+    hd = d // heads
+    scale = 1.0 / denom
+    if q.dtype == np.float64:
+        q, scale = q * scale, None
+    ctx = np.empty_like(q)
+    upper = np.triu(np.ones((block, block), dtype=bool), k=1)
+    for head in range(heads):
+        cols = slice(head * hd, (head + 1) * hd)
+        qh, kh, vh = q[:, cols], k[:, cols], v[:, cols].astype(np.float64)
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            logits = qh[lo:hi] @ kh[:hi].T
+            if scale is not None:
+                logits = np.multiply(logits, scale, dtype=np.float64)
+            b = hi - lo
+            np.copyto(logits[:, lo:], -np.inf, where=upper[:b, :b])
+            logits -= logits.max(axis=-1, keepdims=True)
+            np.exp(logits, out=logits)
+            ctx[lo:hi, cols] = (logits @ vh[:hi]) / logits.sum(axis=-1, keepdims=True)
+    return ctx
+
+
+@pytest.mark.parametrize("heads", [1, 3, 4, 14])
+@pytest.mark.parametrize("workers", [1, 2, 3, "heads"])
+def test_causal_attention_head_groups_match_serial_tiles(monkeypatch, heads, workers):
+    # n sits at, around and across the 64-row tile; every grouping of the
+    # heads must give the serial loop's bits. Up to 14 workers on fewer
+    # cores, switching threads often, write disjoint slices of one output.
+    force_workers(monkeypatch, heads if workers == "heads" else workers)
+    hd = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 63, 64, 65, 130):
+            rng = np.random.default_rng([n, heads])
+            for dtype in (np.float32, np.float64):
+                q, k, v = (rng.standard_normal((n, heads * hd)).astype(dtype) for _ in range(3))
+                for denom in (math.sqrt(hd), math.sqrt(heads * hd)):
+                    got = _causal_attention(q, k, v, heads, denom)
+                    want = serial_causal_tiles(q, k, v, heads, denom)
+                    assert got.dtype == dtype
+                    assert got.tobytes() == want.tobytes(), (n, dtype, denom)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_full_identical_with_one_and_two_workers(monkeypatch, dtype):
+    dec = ToyDecoder(ModelDims(layers=3, hidden=32, ffn_inner=64, heads=4), seed=2, dtype=dtype)
+    rows = np.random.default_rng(2).standard_normal((150, 32))
+    runs = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        runs.append(dec.forward_full(rows))
+    (kvs_1, hidden_1), (kvs_2, hidden_2) = runs
+    assert hidden_1.tobytes() == hidden_2.tobytes()
+    for (k1, v1), (k2, v2) in zip(kvs_1, kvs_2, strict=True):
+        assert k1.tobytes() == k2.tobytes() and v1.tobytes() == v2.tobytes()
+
+
+def test_forward_full_peak_memory_below_one_logit_matrix_with_a_worker_per_head(monkeypatch):
+    force_workers(monkeypatch, 4)
+    n = 1024
+    dec = ToyDecoder(ModelDims(layers=1, hidden=32, ffn_inner=64, heads=4), seed=0)
+    rows = np.random.default_rng(0).standard_normal((n, 32))
+    tracemalloc.start()
+    try:
+        dec.forward_full(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(np.float64).itemsize
+
+
+def test_threaded_prefill_then_forked_sweep_matches_sequential(monkeypatch):
+    # Threads of a prefill must all be gone before run_sweep forks workers,
+    # and the forked workers (which inherit the forced count) must agree.
+    force_workers(monkeypatch, 2)
+    threads = threading.active_count()
+    dec = ToyDecoder(ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4), seed=1)
+    dec.prefill(np.random.default_rng(1).standard_normal((70, 16)))
+    assert threading.active_count() == threads
+    base = RunSpec(
+        config=CompressionConfig(k_rate=0.5, eval_layer=2, p_rate=0.7, heads=4, seed=0),
+        dims=ModelDims(layers=5, hidden=16, ffn_inner=32, heads=4),
+        frames=8,
+        tokens_per_frame=20,
+        text_tokens=3,
+        decode_steps=2,
+    )
+    seq = run_sweep(base, [0.3, 0.7], [2], [0.5, 0.7], jobs=1)
+    par = run_sweep(base, [0.3, 0.7], [2], [0.5, 0.7], jobs=2)
+    strip = lambda rows: [
+        {k: v for k, v in r.items() if k != "mean_step_latency_ms"} for r in rows
+    ]
+    assert strip(seq) == strip(par)
+
+
+# -- prefill worker rule ------------------------------------------------------------
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(monkeypatch, cpus, **values):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in values.items():
+        monkeypatch.setenv(var, value)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_prefill_workers_one_with_uncapped_blas(monkeypatch, cpus):
+    blas_env(monkeypatch, cpus)
+    assert _prefill_workers(4) == 1
+
+
+@pytest.mark.parametrize("cpus, heads", [(1, 4), (2, 4), (2, 1), (8, 4), (8, 14)])
+def test_prefill_workers_one_blas_thread_uses_the_cpus(monkeypatch, cpus, heads):
+    blas_env(monkeypatch, cpus, OPENBLAS_NUM_THREADS="1")
+    assert _prefill_workers(heads) == min(heads, cpus)
+
+
+def test_prefill_workers_divides_cpus_by_blas_threads(monkeypatch):
+    blas_env(monkeypatch, 2, OMP_NUM_THREADS="2")
+    assert _prefill_workers(4) == 1
+    blas_env(monkeypatch, 8, MKL_NUM_THREADS="2")
+    assert _prefill_workers(14) == 4
+    blas_env(monkeypatch, 2, OMP_NUM_THREADS="64")
+    assert _prefill_workers(4) == 1
+    # the first variable that holds a positive integer decides
+    blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2")
+    assert _prefill_workers(4) == 2
+
+
+@pytest.mark.parametrize("bad", ["", "abc", "0", "-2", "1.5"])
+def test_prefill_workers_bad_values_count_as_unset(monkeypatch, bad):
+    blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS=bad)
+    assert _prefill_workers(4) == 1
+    # the next variable that holds a positive integer decides
+    blas_env(monkeypatch, 2, OPENBLAS_NUM_THREADS=bad, OMP_NUM_THREADS="1")
+    assert _prefill_workers(4) == 2
+
+
+def test_prefill_workers_falls_back_to_cpu_count(monkeypatch):
+    blas_env(monkeypatch, 1, OPENBLAS_NUM_THREADS="1")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _prefill_workers(4) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _prefill_workers(4) == 1
 
 
 def test_cache_length_bookkeeping():

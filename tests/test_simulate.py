@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -77,6 +78,18 @@ def test_timing_block_present_when_requested():
     out = res.to_json()
     assert "timing" in out
     assert len(out["timing"]["per_step_s"]) == 3
+
+
+@pytest.mark.parametrize("blas_threads, workers", [(None, 1), ("1", 2)])
+def test_timing_reports_prefill_workers(monkeypatch, blas_threads, workers):
+    # two CPUs and SMALL_DIMS' 4 heads: uncapped BLAS keeps prefill on one thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    assert run_simulation(small_spec(timing=True)).to_json()["timing"]["prefill_workers"] == workers
+    assert "timing" not in run_simulation(small_spec()).to_json()
 
 
 def test_strategies_share_stage1_but_differ_in_membership():
