@@ -10,12 +10,17 @@ residual streams, no normalization, no training. Everything is derived from
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
 from .tokens import TokenId
+
+
+T = TypeVar("T")
 
 
 class DimensionMismatch(ValueError):
@@ -64,31 +69,91 @@ class LayerWeights:
     ffn_out: np.ndarray = field(repr=False)
 
 
-def layer_weights(dims: ModelDims, seed: int, layer: int, dtype=np.float64) -> LayerWeights:
-    """Seeded weights for one layer; scales keep hidden magnitudes O(1)."""
+def _layer_draws(dims: ModelDims) -> dict[str, tuple[tuple[int, int], float]]:
+    """Each layer matrix's shape and draw scale, in draw order; scales keep hidden magnitudes O(1)."""
     d, m = dims.hidden, dims.ffn_inner
-    rng = np.random.default_rng([seed % 2**32, 100, layer])
-    scale_d = 1.0 / np.sqrt(d)
+    square = ((d, d), 1.0 / np.sqrt(d))
+    return {
+        "w_q": square,
+        "w_k": square,
+        "w_v": square,
+        "w_o": square,
+        "ffn_in": ((d, m), np.sqrt(2.0 / d)),
+        "ffn_out": ((m, d), 1.0 / np.sqrt(m)),
+    }
+
+
+def _empty_layer(dims: ModelDims, dtype) -> LayerWeights:
     return LayerWeights(
-        w_q=(rng.standard_normal((d, d)) * scale_d).astype(dtype),
-        w_k=(rng.standard_normal((d, d)) * scale_d).astype(dtype),
-        w_v=(rng.standard_normal((d, d)) * scale_d).astype(dtype),
-        w_o=(rng.standard_normal((d, d)) * scale_d).astype(dtype),
-        ffn_in=(rng.standard_normal((d, m)) * np.sqrt(2.0 / d)).astype(dtype),
-        ffn_out=(rng.standard_normal((m, d)) * (1.0 / np.sqrt(m))).astype(dtype),
+        **{name: np.empty(shape, dtype) for name, (shape, _) in _layer_draws(dims).items()}
     )
+
+
+# float64 values per chunk of a draw into a narrower dtype: each chunk is
+# drawn, scaled and cast in turn, so a draw holds 512 KiB of float64 at a
+# time instead of a float64 copy of the whole matrix. A worker thread's
+# malloc arena keeps its last chunk: on a 2-core x86 VM, 2 MiB chunks
+# raised perfbench decode_long's peak RSS by 1.7 MB, these by 0.2-0.3 MB.
+_DRAW_CHUNK = 1 << 16
+
+
+def _fill_normal(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Fill the C-contiguous ``out`` with ``rng``'s standard normals times ``scale``.
+
+    The bits equal those of one float64 draw of ``out``'s shape, scaled and
+    cast to ``out.dtype``: a float64 ``out`` is drawn and scaled in place,
+    any other dtype a chunk at a time, in stream order.
+    """
+    if out.dtype == np.float64:
+        rng.standard_normal(out=out)
+        out *= scale
+        return
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _DRAW_CHUNK))
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        x = scratch[: min(_DRAW_CHUNK, flat.size - lo)]
+        rng.standard_normal(out=x)
+        x *= scale
+        flat[lo : lo + x.size] = x
+
+
+def _draw_layer(weights: LayerWeights, dims: ModelDims, seed: int, layer: int) -> None:
+    """Fill ``_empty_layer`` arrays from the layer's own ``[seed, 100, layer]`` stream."""
+    rng = np.random.default_rng([seed % 2**32, 100, layer])
+    for name, (_, scale) in _layer_draws(dims).items():
+        _fill_normal(rng, getattr(weights, name), scale)
+
+
+def layer_weights(dims: ModelDims, seed: int, layer: int, dtype=np.float64) -> LayerWeights:
+    """Seeded weights for one layer, drawn from its own stream."""
+    weights = _empty_layer(dims, dtype)
+    _draw_layer(weights, dims, seed, layer)
+    return weights
 
 
 def project_qkv(
     hidden_states: np.ndarray, weights: LayerWeights
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linear Q/K/V projections of a token matrix."""
+    """Linear Q/K/V projections of a token matrix, over row blocks in threads.
+
+    The blocks follow ``_row_blocks``, so each output row has the bits of
+    the whole-matrix product. Call it from one thread: perfbench's tracer
+    wraps it by name, and its span stack is not thread-safe.
+    """
     h = np.atleast_2d(hidden_states)
     if h.shape[1] != weights.w_q.shape[0]:
         raise DimensionMismatch(
             f"hidden width {h.shape[1]} != projection width {weights.w_q.shape[0]}"
         )
-    return h @ weights.w_q, h @ weights.w_k, h @ weights.w_v
+    mats = (weights.w_q, weights.w_k, weights.w_v)
+    outs = tuple(np.empty((h.shape[0], w.shape[1]), np.result_type(h, w)) for w in mats)
+
+    def block(lo: int, hi: int) -> None:
+        for w, out in zip(mats, outs):
+            np.matmul(h[lo:hi], w, out=out[lo:hi])
+
+    _row_blocks(block, h.shape[0])
+    return outs
 
 
 # Query rows per prefill tile. At 3k rows, d=128, 4 heads, float64 and one
@@ -107,8 +172,16 @@ def _softmax_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _prefill_workers(heads: int) -> int:
-    """Threads for causal prefill: ``min(heads, cpus // blas_threads)``, at least 1.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _prefill_workers(n: int) -> int:
+    """Threads for ``n`` independent prefill blocks: ``min(n, cpus // blas_threads)``, at least 1.
 
     ``blas_threads`` is the first of OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
     and MKL_NUM_THREADS that holds a positive integer, else ``cpus`` (the
@@ -116,10 +189,7 @@ def _prefill_workers(heads: int) -> int:
     start BLAS threads of its own, and two such workers made one layer at
     3,000 x 128, 4 heads, float64 take 215-254 ms instead of 144-171 ms.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
+    cpus = _cpus()
     blas_threads = cpus
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         try:
@@ -129,7 +199,37 @@ def _prefill_workers(heads: int) -> int:
         if value > 0:
             blas_threads = value
             break
-    return max(1, min(heads, cpus // blas_threads))
+    return max(1, min(n, cpus // blas_threads))
+
+
+def _run_blocks(fn: Callable[[int, int], T], n: int, parts: int) -> list[T]:
+    """``fn(lo, hi)`` over contiguous blocks of ``range(n)``, all at once; results in order.
+
+    There are ``parts`` blocks, clamped to [1, n]. The calling thread runs
+    the first block and a pool made for this call one thread for each other
+    block; the pool is shut down before the call returns, so no thread
+    outlives it and a later fork (``run_sweep``'s process pool) is safe.
+    """
+    parts = max(1, min(parts, n))
+    bounds = [b * n // parts for b in range(parts + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
+    if parts == 1:
+        return [fn(0, n)]
+    with ThreadPoolExecutor(max_workers=parts - 1) as pool:
+        rest = [pool.submit(fn, lo, hi) for lo, hi in blocks[1:]]
+        return [fn(*blocks[0])] + [future.result() for future in rest]
+
+
+def _row_blocks(fn: Callable[[int, int], None], n: int) -> None:
+    """``fn(lo, hi)`` over row blocks of an n-row GEMM, on ``_prefill_workers`` threads.
+
+    Each block holds at least two rows: numpy computes a one-row product as
+    a gemv, whose bits differ from the gemm's, while a gemm block of two or
+    more rows gives the bits of the same rows of the whole product. ``fn``
+    writes into arrays the calling thread allocated, so no worker leaves
+    large freed buffers in a malloc arena of its own.
+    """
+    _run_blocks(fn, n, _prefill_workers(n // 2))
 
 
 def _causal_attention(
@@ -145,14 +245,14 @@ def _causal_attention(
     scaled while they are widened to float64, a copy the tile needs anyway,
     so they are rounded to float32 only once, as before.
 
-    Heads are independent, so they are split into ``_prefill_workers``
-    contiguous groups, each running the tile loop in its own thread (a
-    single group runs in the calling thread). The caller allocates each group's
-    flat tile buffer, so no worker leaves freed tiles in a per-thread malloc
-    arena; a tile is a contiguous view of it. Working memory is still one
-    (heads, tile, n) float64 tile in all, not an n x n matrix per head, and
-    each head's arithmetic is the same whatever the grouping. Returns the
-    context rows in ``q``'s dtype.
+    Heads are independent, so ``_run_blocks`` splits them into
+    ``_prefill_workers`` contiguous groups, each running the tile loop in a
+    thread of its own. The calling thread allocates the flat tile buffers,
+    one slice per group, so no worker leaves freed tiles in a per-thread
+    malloc arena; a tile is a contiguous view of its group's slice. Working
+    memory is still one (heads, tile, n) float64 tile in all, not an n x n
+    matrix per head, and each head's arithmetic is the same whatever the
+    grouping. Returns the context rows in ``q``'s dtype.
     """
     n, d = q.shape
     hd = d // heads
@@ -164,14 +264,18 @@ def _causal_attention(
     ctx = np.empty_like(q)
     ctx_h = ctx.reshape(n, heads, hd).transpose(1, 0, 2)
     upper = np.triu(np.ones((_PREFILL_BLOCK, _PREFILL_BLOCK), dtype=bool), k=1)
+    per_head = min(_PREFILL_BLOCK, n) * n
+    buf = np.empty(heads * per_head, dtype=np.float64)
+    raw = buf if scale is None else np.empty(buf.size, q.dtype)
 
-    def run_group(g0: int, g1: int, buf: np.ndarray, raw: np.ndarray) -> None:
+    def run_group(g0: int, g1: int) -> None:
         h = g1 - g0
+        group_buf, group_raw = buf[g0 * per_head :], raw[g0 * per_head :]
         for lo in range(0, n, _PREFILL_BLOCK):
             hi = min(lo + _PREFILL_BLOCK, n)
             b = hi - lo
-            logits = buf[: h * b * hi].reshape(h, b, hi)
-            prod = raw[: h * b * hi].reshape(h, b, hi)
+            logits = group_buf[: h * b * hi].reshape(h, b, hi)
+            prod = group_raw[: h * b * hi].reshape(h, b, hi)
             np.matmul(qh[g0:g1, lo:hi], kh[g0:g1, :hi].transpose(0, 2, 1), out=prod)
             if scale is not None:
                 np.multiply(prod, scale, out=logits, dtype=np.float64)
@@ -180,20 +284,29 @@ def _causal_attention(
             np.exp(logits, out=logits)
             ctx_h[g0:g1, lo:hi] = (logits @ vh[g0:g1, :hi]) / logits.sum(axis=-1, keepdims=True)
 
-    workers = _prefill_workers(heads)
-    bounds = [g * heads // workers for g in range(workers + 1)]
-    groups = []
-    for g0, g1 in zip(bounds, bounds[1:]):
-        buf = np.empty((g1 - g0) * min(_PREFILL_BLOCK, n) * n, dtype=np.float64)
-        groups.append((g0, g1, buf, buf if scale is None else np.empty(buf.size, q.dtype)))
-    if workers == 1:
-        run_group(*groups[0])
-    else:
-        # One pool per call, shut down before returning: no thread outlives
-        # the call, so a later fork (run_sweep's process pool) is safe.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda group: run_group(*group), groups))
+    _run_blocks(run_group, heads, _prefill_workers(heads))
     return ctx
+
+
+def _ffn_rows(ctx: np.ndarray, weights: LayerWeights) -> np.ndarray:
+    """``relu(ctx @ w_o @ ffn_in) @ ffn_out`` for every row, over ``_row_blocks`` in threads.
+
+    The calling thread allocates one (n, d) and one (n, ffn_inner) buffer;
+    the output reuses the first, whose rows are spent by then.
+    """
+    n = ctx.shape[0]
+    dtype = np.result_type(ctx, weights.w_o)
+    mid = np.empty((n, weights.w_o.shape[1]), dtype)
+    inner = np.empty((n, weights.ffn_in.shape[1]), dtype)
+
+    def block(lo: int, hi: int) -> None:
+        np.matmul(ctx[lo:hi], weights.w_o, out=mid[lo:hi])
+        np.matmul(mid[lo:hi], weights.ffn_in, out=inner[lo:hi])
+        np.maximum(inner[lo:hi], 0.0, out=inner[lo:hi])
+        np.matmul(inner[lo:hi], weights.ffn_out, out=mid[lo:hi])
+
+    _row_blocks(block, n)
+    return mid
 
 
 def _attend(
@@ -299,6 +412,24 @@ class AttentionSnapshot:
     row_total: float | None = None
 
 
+def _draw_layers(dims: ModelDims, seed: int, dtype) -> list[LayerWeights]:
+    """``layer_weights`` of every layer, drawn by contiguous layer groups on ``min(layers, cpus)`` threads.
+
+    Each layer has its own seeded stream, so the weights do not depend on
+    the grouping; the draws use no BLAS, so the thread count ignores the
+    BLAS variables. The calling thread allocates the weights, so a worker
+    leaves no large freed buffer in a malloc arena of its own.
+    """
+    layers = [_empty_layer(dims, dtype) for _ in range(dims.layers)]
+
+    def draw(lo: int, hi: int) -> None:
+        for layer in range(lo, hi):
+            _draw_layer(layers[layer], dims, seed, layer)
+
+    _run_blocks(draw, dims.layers, _cpus())
+    return layers
+
+
 # Token vocabulary of the toy decoder's seeded embedding and output projection.
 VOCAB_SIZE = 128
 
@@ -318,7 +449,7 @@ class ToyDecoder:
         self.seed = seed
         self.scale = scale
         self.dtype = np.dtype(dtype)
-        self.layers = [layer_weights(dims, seed, l, self.dtype) for l in range(dims.layers)]
+        self.layers = _draw_layers(dims, seed, self.dtype)
         rng = np.random.default_rng([seed % 2**32, 200])
         self.embedding = rng.standard_normal((VOCAB_SIZE, dims.hidden)).astype(self.dtype)
         self.unembed = (
@@ -333,8 +464,9 @@ class ToyDecoder:
         Returns per-layer (K, V) matrices for caching plus the final-layer
         hidden state of every position; the no-cache reference path.
         Attention runs in tiles of query rows, each against its key prefix
-        only, so working memory is O(heads * tile * n) rather than O(n^2);
-        the heads are split over threads when BLAS leaves cores idle.
+        only, so working memory is O(heads * tile * n) rather than O(n^2).
+        When BLAS leaves cores idle, the heads of the attention and the row
+        blocks of the projection and FFN GEMMs are split over threads.
         """
         return self._causal_layers(np.ascontiguousarray(rows, dtype=self.dtype), self.layers)
 
@@ -346,8 +478,7 @@ class ToyDecoder:
         for weights in layers:
             q, k, v = project_qkv(h, weights)
             kvs.append((k, v))
-            ctx = _causal_attention(q, k, v, self.dims.heads, denom)
-            h = np.maximum(ctx @ weights.w_o @ weights.ffn_in, 0.0) @ weights.ffn_out
+            h = _ffn_rows(_causal_attention(q, k, v, self.dims.heads, denom), weights)
         return kvs, h
 
     def _denom(self) -> float:

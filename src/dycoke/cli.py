@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-grid", default="0.3,0.5,0.7")
     p.add_argument("--L-grid", default="3")
     p.add_argument("--P-grid", default="0.7")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; at most one per grid cell and per CPU")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
     p.add_argument("--timing", action="store_true")

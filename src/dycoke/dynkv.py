@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,19 +46,31 @@ def retention_quota(survivors: int, p_rate: float) -> int:
     return max(0, math.ceil((1.0 - p_rate) * survivors - 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetentionDecision:
+    """One step's retained set, its threshold, and the TokenIds that moved.
+
+    The retained set is held as sorted survivor rows into ``survivor_ids``;
+    ``retained_ids`` builds its TokenIds only when read, since the report
+    writes just its length. Decisions compare by identity.
+    """
+
     step: int
-    retained_ids: tuple[TokenId, ...]
+    retained_rows: np.ndarray = field(repr=False)
+    survivor_ids: tuple[TokenId, ...] = field(repr=False)
     threshold: float | None
     readmitted: tuple[TokenId, ...]
     evicted: tuple[TokenId, ...]
+
+    @property
+    def retained_ids(self) -> tuple[TokenId, ...]:
+        return tuple(map(self.survivor_ids.__getitem__, self.retained_rows.tolist()))
 
     def to_json(self) -> dict:
         return {
             "step": self.step,
             "threshold": self.threshold,
-            "retained_count": len(self.retained_ids),
+            "retained_count": len(self.retained_rows),
             "readmitted_count": len(self.readmitted),
             "evicted_count": len(self.evicted),
             "readmitted_ids": [list(t) for t in self.readmitted],
@@ -279,7 +291,8 @@ def _retain(
     cache.apply(rows)
     return RetentionDecision(
         step=step,
-        retained_ids=cache.ids_of(rows),
+        retained_rows=cache.active_rows,
+        survivor_ids=cache.token_ids,
         threshold=threshold,
         readmitted=cache.ids_of(np.setdiff1d(rows, prev, assume_unique=True)),
         evicted=cache.ids_of(np.setdiff1d(prev, rows, assume_unique=True)),

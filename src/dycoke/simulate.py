@@ -19,7 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import costmodel, dynkv, trace as trace_io
-from .attention import AttentionSnapshot, ModelDims, ToyDecoder, _prefill_workers
+from .attention import (
+    AttentionSnapshot,
+    ModelDims,
+    ToyDecoder,
+    _cpus,
+    _fill_normal,
+    _prefill_workers,
+    _run_blocks,
+)
 from .tokens import CompressionConfig, TextTokens, VisualTokenGrid, synth_grid, synth_text
 from .ttm import TtmResult, apply_ttm
 
@@ -492,16 +500,18 @@ def run_bench(
             quota = dynkv.retention_quota(len(ids), config.p_rate)
         # Synthetic K/V fill: decode-step cost depends on cache shape, not values,
         # so the expensive prefill GEMMs are skipped for timing runs.
+        # Each layer draws from its own stream, so the layers fill in threads.
         shape = (len(ids) + text_tokens, dims.hidden)
-        kvs = []
-        for layer in range(dims.layers):
-            rng = np.random.default_rng([config.seed % 2**32, 400, layer])
-            kvs.append(
-                (
-                    rng.standard_normal(shape).astype(decoder.dtype),
-                    rng.standard_normal(shape).astype(decoder.dtype),
-                )
-            )
+        kvs = [(np.empty(shape, decoder.dtype), np.empty(shape, decoder.dtype))
+               for _ in range(dims.layers)]
+
+        def fill(lo: int, hi: int) -> None:
+            for layer in range(lo, hi):
+                rng = np.random.default_rng([config.seed % 2**32, 400, layer])
+                for out in kvs[layer]:
+                    _fill_normal(rng, out, 1.0)
+
+        _run_blocks(fill, dims.layers, _cpus())
         cache = dynkv.DualCache(
             kvs, ids, text_tokens, quota, config.eval_layer, reserve_steps=steps + warmup + 2
         )
@@ -576,11 +586,16 @@ def run_sweep(
     p_values: list[float],
     jobs: int = 1,
 ) -> list[dict]:
-    """Cross-product sweep over (K, L, P); one row per cell, grid order."""
+    """Cross-product sweep over (K, L, P); one row per cell, grid order.
+
+    Cells run in ``min(jobs, cells, cpus)`` processes: the pool forks all
+    of its workers up front, so ``jobs`` alone must not set their number.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [(base, k, l, p) for k in k_values for l in l_values for p in p_values]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells), _cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, cells))
     return [_sweep_cell(c) for c in cells]

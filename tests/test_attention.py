@@ -607,6 +607,119 @@ def test_prefill_workers_falls_back_to_cpu_count(monkeypatch):
     assert _prefill_workers(4) == 1
 
 
+# -- prefill row blocks and threaded weight draws -------------------------------
+
+
+def serial_forward(dec, rows):
+    """forward_full as whole-matrix products and the serial tile loop: no row blocks, no threads."""
+    h = np.ascontiguousarray(rows, dtype=dec.dtype)
+    denom = math.sqrt(dec.dims.head_dim if dec.scale == "head" else dec.dims.hidden)
+    kvs = []
+    for w in dec.layers:
+        q, k, v = h @ w.w_q, h @ w.w_k, h @ w.w_v
+        kvs.append((k, v))
+        ctx = serial_causal_tiles(q, k, v, dec.dims.heads, denom)
+        h = np.maximum(ctx @ w.w_o @ w.ffn_in, 0.0) @ w.ffn_out
+    return kvs, h
+
+
+def same_bytes(kvs_a, kvs_b):
+    return all(
+        ka.tobytes() == kb.tobytes() and va.tobytes() == vb.tobytes()
+        for (ka, va), (kb, vb) in zip(kvs_a, kvs_b, strict=True)
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_row_blocks_match_whole_matrix_products(monkeypatch, workers):
+    # At n = 2 and 3 a block per worker would hold one row, which numpy
+    # runs as a gemv with other bits, so blocks hold two rows or more.
+    force_workers(monkeypatch, workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for dtype in (np.float32, np.float64):
+            dec = ToyDecoder(ModelDims(layers=3, hidden=32, ffn_inner=64, heads=4), seed=4,
+                             dtype=dtype)
+            for n in (1, 2, 3, 63, 64, 65, 130):
+                rows = np.random.default_rng([n, 4]).standard_normal((n, 32))
+                kvs_ref, hidden_ref = serial_forward(dec, rows)
+                kvs, hidden = dec.forward_full(rows)
+                assert hidden.dtype == dtype
+                assert hidden.tobytes() == hidden_ref.tobytes(), (n, dtype)
+                assert same_bytes(kvs, kvs_ref), (n, dtype)
+                kvs, last = dec.prefill(rows)
+                assert same_bytes(kvs, kvs_ref), (n, dtype)
+                with monkeypatch.context() as serial:
+                    force_workers(serial, 1)
+                    _, last_ref = dec.prefill(rows)
+                assert last.tobytes() == last_ref.tobytes(), (n, dtype)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def old_layer_weights(dims, seed, layer, dtype):
+    """Each draw scaled into a fresh array, then cast."""
+    d, m = dims.hidden, dims.ffn_inner
+    rng = np.random.default_rng([seed % 2**32, 100, layer])
+    scale_d = 1.0 / np.sqrt(d)
+    shapes = [((d, d), scale_d)] * 4 + [((d, m), np.sqrt(2.0 / d)), ((m, d), 1.0 / np.sqrt(m))]
+    return [(rng.standard_normal(shape) * scale).astype(dtype) for shape, scale in shapes]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_threaded_layer_draws_match_layer_weights(monkeypatch, dtype, cpus):
+    # float32 draws go through 100-value chunks, the last one partial;
+    # threads switch often while each fills its own layers.
+    monkeypatch.setattr(attention, "_cpus", lambda: cpus)
+    monkeypatch.setattr(attention, "_DRAW_CHUNK", 100)
+    dims = ModelDims(layers=5, hidden=24, ffn_inner=44, heads=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        dec = ToyDecoder(dims, seed=2**32 + 9, dtype=dtype)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(dec.layers) == 5
+    names = ("w_q", "w_k", "w_v", "w_o", "ffn_in", "ffn_out")
+    for layer, got in enumerate(dec.layers):
+        want = layer_weights(dims, 2**32 + 9, layer, dtype)
+        old = old_layer_weights(dims, 2**32 + 9, layer, dtype)
+        for name, ref in zip(names, old, strict=True):
+            assert getattr(got, name).dtype == dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes() == ref.tobytes()
+
+
+def test_no_thread_left_after_decoder_or_prefill(monkeypatch):
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(attention, "_cpus", lambda: 3)
+    threads = threading.active_count()
+    dec = ToyDecoder(ModelDims(layers=4, hidden=16, ffn_inner=32, heads=4), seed=3)
+    assert threading.active_count() == threads
+    dec.prefill(np.random.default_rng(3).standard_normal((70, 16)))
+    assert threading.active_count() == threads
+
+
+def test_project_qkv_once_per_layer_on_calling_thread(monkeypatch):
+    force_workers(monkeypatch, 2)
+    calls = []
+    original = attention.project_qkv
+
+    def recorded(h, weights):
+        calls.append(threading.get_ident())
+        return original(h, weights)
+
+    monkeypatch.setattr(attention, "project_qkv", recorded)
+    dec = ToyDecoder(ModelDims(layers=3, hidden=16, ffn_inner=32, heads=4), seed=5)
+    rows = np.random.default_rng(5).standard_normal((90, 16))
+    dec.forward_full(rows)
+    assert calls == [threading.get_ident()] * 3
+    calls.clear()
+    dec.prefill(rows)
+    assert calls == [threading.get_ident()] * 3
+
+
 def test_cache_length_bookkeeping():
     dims = ModelDims(layers=3, hidden=8, ffn_inner=16, heads=2)
     dec = ToyDecoder(dims, seed=1)

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from dycoke import attention, dynkv, simulate
 from dycoke.attention import ModelDims
-from dycoke.simulate import RunSpec, jaccard, run_replay, run_simulation, run_sweep
+from dycoke.simulate import RunSpec, jaccard, run_bench, run_replay, run_simulation, run_sweep
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
 from dycoke.trace import MissingAttentionBlock, write_trace
 
@@ -311,6 +312,73 @@ def test_sweep_worker_pool_matches_sequential():
         {k: v for k, v in r.items() if k != "mean_step_latency_ms"} for r in rows
     ]
     assert strip(seq) == strip(par)
+
+
+@pytest.mark.parametrize(
+    "jobs, k_values, cpus, workers",
+    [
+        (100_000, [0.3, 0.7], 2, 2),  # capped by the cells and the cpus
+        (100_000, [0.2, 0.4, 0.6], 8, 3),  # capped by the cells
+        (100_000, [0.2, 0.4, 0.6], 2, 2),  # capped by the cpus
+        (2, [0.2, 0.4, 0.6], 8, 2),  # jobs below both
+        (100_000, [0.2, 0.4, 0.6], 1, None),  # one cpu: sequential, no pool
+        (3, [0.5], 8, None),  # one cell: sequential, no pool
+    ],
+)
+def test_sweep_caps_process_pool(monkeypatch, jobs, k_values, cpus, workers):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
+    rows = run_sweep(small_spec(decode_steps=1), k_values, [2], [0.7], jobs=jobs)
+    assert [r["status"] for r in rows] == ["ok"] * len(k_values)
+    assert sizes == ([] if workers is None else [workers])
+
+
+def test_bench_layer_fill_independent_of_threads(monkeypatch):
+    # every layer's synthetic K/V come from its own [seed, 400, layer] stream
+    filled = []
+
+    class Recorded(dynkv.DualCache):
+        def __init__(self, layer_kvs, *args, **kwargs):
+            filled.append(layer_kvs)
+            super().__init__(layer_kvs, *args, **kwargs)
+
+    monkeypatch.setattr(dynkv, "DualCache", Recorded)
+    monkeypatch.setattr(attention, "_DRAW_CHUNK", 100)  # several chunks per matrix
+    dims = ModelDims(layers=3, hidden=16, ffn_inner=32, heads=4)
+    config = CompressionConfig(k_rate=0.5, eval_layer=0, p_rate=0.7, heads=4, seed=7)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulate, "_cpus", lambda cpus=cpus: cpus)
+        run_bench(dims, config, 4, 10, text_tokens=2, steps=1, warmup=0)
+    assert len(filled) == 6
+    for slot in (0, 1):
+        want = filled[slot]
+        n = want[0][0].shape[0]
+        for layer, (k, v) in enumerate(want):
+            rng = np.random.default_rng([7, 400, layer])
+            assert k.tobytes() == rng.standard_normal((n, 16)).astype(np.float32).tobytes()
+            assert v.tobytes() == rng.standard_normal((n, 16)).astype(np.float32).tobytes()
+        for got in filled[2 + slot :: 2]:
+            assert all(
+                k.tobytes() == wk.tobytes() and v.tobytes() == wv.tobytes()
+                for (k, v), (wk, wv) in zip(got, want, strict=True)
+            )
 
 
 def test_jaccard_helper():
