@@ -62,10 +62,7 @@ from .trace import (
 from .ttm import (
     MergeRecord,
     TtmResult,
-    WindowPartition,
-    ZeroNorm,
     apply_ttm,
-    cosine_similarity,
     partition_windows,
     stage1_survivor_count,
 )

@@ -387,12 +387,6 @@ def attention_row(
     scale: str = "head",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-query attention over one contiguous key/value matrix."""
-    keys = np.atleast_2d(keys)
-    values = np.atleast_2d(values)
-    if keys.shape[0] == 0:
-        raise EmptyKeySet("attention over an empty key set")
-    if keys.shape != values.shape:
-        raise DimensionMismatch(f"keys {keys.shape} != values {values.shape}")
     return attention_segments(query, [(keys, values)], heads, scale)
 
 

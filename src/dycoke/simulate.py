@@ -455,8 +455,6 @@ def run_bench(
     warmup: int = 3,
     dtype: str = "float32",
     strategies: tuple[str, str] = ("none", "dycoke"),
-    drift: float = 0.05,
-    scale: str = "head",
 ) -> BenchResult:
     """Measure decode-step wall time for two strategies on identical weights.
 
@@ -474,16 +472,18 @@ def run_bench(
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     if text_tokens < 0:
         raise ValueError("text_tokens must be >= 0")
+    if len(strategies) != 2:
+        raise ValueError(f"strategies must name exactly two, e.g. none,dycoke; got {len(strategies)}")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
 
-    grid = synth_grid(config, frames, tokens_per_frame, dims.hidden, drift)
+    grid = synth_grid(config, frames, tokens_per_frame, dims.hidden)
     t0 = time.perf_counter()
     ttm = apply_ttm(grid, config)
     ttm_seconds = time.perf_counter() - t0
 
-    decoder = ToyDecoder(dims, seed=config.seed, scale=scale, dtype=np.dtype(dtype))
+    decoder = ToyDecoder(dims, seed=config.seed, dtype=np.dtype(dtype))
     emb0 = np.asarray(
         np.random.default_rng([config.seed % 2**32, 401]).standard_normal(dims.hidden),
         dtype=decoder.dtype,

@@ -106,7 +106,9 @@ class CompressionConfig:
     eval_layer layer whose attention scores drive stage-2 decisions
     p_rate     stage-2 pruning rate (retain ceil((1 - p_rate) * survivors))
     window_len sliding-window length in frames, must be even
-    heads      attention head count for the simulated model
+    heads      echoed in reports only; no stage reads it (the decoder takes
+               ModelDims.heads). Removing it changes report bytes, so it
+               waits for a change that re-pins the outputs anyway
     seed       drives synthetic data, weights, and the random baseline
     merge_mode 'drop' discards the redundant token; 'mean' folds it into the
                kept counterpart by averaging (experimental)

@@ -25,34 +25,10 @@ from .tokens import CompressionConfig, TokenId, VisualTokenGrid
 ZERO_NORM_EPS = 1e-12
 
 
-class ZeroNorm(ValueError):
-    """A token row has (near-)zero norm; cosine similarity is undefined."""
-
-
 class MergeRecord(NamedTuple):
     removed: TokenId
     kept_as: TokenId
     similarity: float
-
-
-@dataclass(frozen=True)
-class Window:
-    """One sliding window: its frame indices and the O/E split."""
-
-    frames: tuple[int, ...]
-
-    @property
-    def group_o(self) -> tuple[int, ...]:
-        return self.frames[0::2]
-
-    @property
-    def group_e(self) -> tuple[int, ...]:
-        return self.frames[1::2]
-
-
-@dataclass(frozen=True)
-class WindowPartition:
-    windows: tuple[Window, ...]
 
 
 @dataclass
@@ -70,22 +46,7 @@ class TtmResult:
         return len(self.token_ids)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two token rows, clamped to [-1, 1].
-
-    Raises ZeroNorm when either row's norm is below 1e-12; callers inside
-    the merge pass treat that as similarity 0.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        raise ZeroNorm(f"row norm below {ZERO_NORM_EPS} (|a|={na:.3e}, |b|={nb:.3e})")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
-
-
-def partition_windows(frames: int, window_len: int) -> WindowPartition:
+def partition_windows(frames: int, window_len: int) -> tuple[tuple[int, ...], ...]:
     """Split frame indices into consecutive non-overlapping windows.
 
     The last window may be shorter; it keeps the same O/E offset rule over
@@ -95,11 +56,10 @@ def partition_windows(frames: int, window_len: int) -> WindowPartition:
         raise ValueError(f"frames must be >= 1, got {frames}")
     if window_len < 2 or window_len % 2 != 0:
         raise ValueError(f"window_len must be even and >= 2, got {window_len}")
-    windows = [
-        Window(tuple(range(start, min(start + window_len, frames))))
+    return tuple(
+        tuple(range(start, min(start + window_len, frames)))
         for start in range(0, frames, window_len)
-    ]
-    return WindowPartition(tuple(windows))
+    )
 
 
 def _frame_similarities(grid: VisualTokenGrid, frame: int, ref_frame: int) -> np.ndarray:
@@ -126,7 +86,7 @@ def stage1_survivor_count(
 ) -> int:
     """Exact survivor count after stage 1, including floor rounding."""
     quota = per_frame_quota(k_rate, tokens_per_frame)
-    prunable = sum(len(w.frames) - 1 for w in partition_windows(frames, window_len).windows)
+    prunable = sum(len(w) - 1 for w in partition_windows(frames, window_len))
     return frames * tokens_per_frame - prunable * quota
 
 
@@ -148,13 +108,12 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
     removed: list[int] = []
     similarities: list[float] = []
 
-    for window in partition_windows(grid.frames, config.window_len).windows:
-        first = window.frames[0]
-        for offset in range(1, len(window.frames)):
-            frame = window.frames[offset]
+    for window in partition_windows(grid.frames, config.window_len):
+        for offset in range(1, len(window)):
+            frame = window[offset]
             # Odd offsets (group E) score against the preceding O frame;
             # even offsets (later O frames) score against the window's first.
-            ref = window.frames[offset - 1] if offset % 2 == 1 else first
+            ref = window[offset - 1] if offset % 2 == 1 else window[0]
             if quota == 0:
                 continue
             sims = _frame_similarities(grid, frame, ref)

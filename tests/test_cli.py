@@ -235,6 +235,7 @@ def test_bench_float64_resident_bytes_use_itemsize(tmp_path):
         (["--model", "custom", "--d", "64", "--m", "128", "--warmup", "-1"], "warmup must be >= 0"),
         (["--model", "custom", "--d", "64", "--m", "128", "--text-tokens", "-1"],
          "text_tokens must be >= 0"),
+        (["--model", "custom", "--d", "64", "--m", "128", "--strategies", "none"], "exactly two"),
     ],
 )
 def test_bench_bad_input_exits_2(extra, message, capsys):

@@ -381,6 +381,14 @@ def test_bench_layer_fill_independent_of_threads(monkeypatch):
             )
 
 
+@pytest.mark.parametrize("strategies", [("none",), ("none", "dycoke", "random")])
+def test_bench_requires_exactly_two_strategies(strategies):
+    dims = ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4)
+    config = CompressionConfig(k_rate=0.5, eval_layer=0, p_rate=0.7, heads=4)
+    with pytest.raises(ValueError, match="exactly two"):
+        run_bench(dims, config, 4, 8, steps=1, warmup=0, strategies=strategies)
+
+
 def test_jaccard_helper():
     assert jaccard([1, 2], [1, 2]) == 1.0
     assert jaccard([1], [2]) == 0.0

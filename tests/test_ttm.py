@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from dycoke.tokens import CompressionConfig, TokenId, VisualTokenGrid, synth_grid
-from dycoke.ttm import (
-    ZeroNorm,
-    apply_ttm,
-    cosine_similarity,
-    partition_windows,
-    stage1_survivor_count,
-)
+from dycoke.ttm import apply_ttm, partition_windows, stage1_survivor_count
 
 
 # -- independent brute-force oracle ------------------------------------------
@@ -48,56 +42,21 @@ def oracle_removals(grid: VisualTokenGrid, k_rate: float, window_len: int) -> se
     return removed
 
 
-# -- cosine -------------------------------------------------------------------
-
-
-def test_cosine_identity():
-    assert cosine_similarity(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == 1.0
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_cosine_forty_five_degrees():
-    got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    assert abs(got - 0.70710678) < 1e-8
-
-
-def test_cosine_zero_norm_raises():
-    with pytest.raises(ZeroNorm):
-        cosine_similarity(np.zeros(3), np.ones(3))
-    with pytest.raises(ZeroNorm):
-        cosine_similarity(np.ones(3), np.full(3, 1e-13))
-
-
-def test_cosine_clamped():
-    v = np.full(64, 0.1)
-    assert cosine_similarity(v, v) <= 1.0
-
-
 # -- window partition -----------------------------------------------------------
 
 
 def test_partition_default_video():
     part = partition_windows(32, 4)
-    assert len(part.windows) == 8
-    w0 = part.windows[0]
-    assert w0.frames == (0, 1, 2, 3)
-    assert w0.group_o == (0, 2)
-    assert w0.group_e == (1, 3)
+    assert len(part) == 8
+    assert part[0] == (0, 1, 2, 3)
 
 
 def test_partition_single_window():
-    part = partition_windows(4, 4)
-    assert len(part.windows) == 1
+    assert partition_windows(4, 4) == ((0, 1, 2, 3),)
 
 
 def test_partition_trailing_short_window():
-    part = partition_windows(6, 4)
-    assert [w.frames for w in part.windows] == [(0, 1, 2, 3), (4, 5)]
-    assert part.windows[1].group_o == (4,)
-    assert part.windows[1].group_e == (5,)
+    assert partition_windows(6, 4) == ((0, 1, 2, 3), (4, 5))
 
 
 def test_partition_validation():
@@ -113,12 +72,10 @@ def test_partition_coverage_property():
         frames = int(rng.integers(1, 40))
         wl = int(rng.integers(1, 5)) * 2
         part = partition_windows(frames, wl)
-        seen = [f for w in part.windows for f in w.frames]
+        seen = [f for w in part for f in w]
         assert seen == list(range(frames))  # consecutive, non-overlapping, complete
-        for w in part.windows:
-            assert set(w.group_o) | set(w.group_e) == set(w.frames)
-            assert set(w.group_o) & set(w.group_e) == set()
-            assert len(w.frames) <= wl
+        for w in part:
+            assert len(w) <= wl
 
 
 # -- apply_ttm ---------------------------------------------------------------
