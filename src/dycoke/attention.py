@@ -145,6 +145,16 @@ def project_qkv(
         raise DimensionMismatch(
             f"hidden width {h.shape[1]} != projection width {weights.w_q.shape[0]}"
         )
+    return _qkv_rows(h, weights)
+
+
+def _qkv_rows(h: np.ndarray, weights: LayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``h @ w_q``, ``h @ w_k``, ``h @ w_v`` for every row of the (n, d) ``h``, unchecked.
+
+    Shared by prefill, through ``project_qkv``, and by decode, which calls
+    it directly on its one row so that the tracer's ``project_qkv`` span
+    holds prefill time only.
+    """
     mats = (weights.w_q, weights.w_k, weights.w_v)
     outs = tuple(np.empty((h.shape[0], w.shape[1]), np.result_type(h, w)) for w in mats)
 
@@ -208,13 +218,13 @@ def _run_blocks(fn: Callable[[int, int], T], n: int, parts: int) -> list[T]:
     There are ``parts`` blocks, clamped to [1, n]. The calling thread runs
     the first block and a pool made for this call one thread for each other
     block; the pool is shut down before the call returns, so no thread
-    outlives it and a later fork (``run_sweep``'s process pool) is safe.
+    outlives it.
     """
     parts = max(1, min(parts, n))
-    bounds = [b * n // parts for b in range(parts + 1)]
-    blocks = list(zip(bounds, bounds[1:]))
     if parts == 1:
         return [fn(0, n)]
+    bounds = [b * n // parts for b in range(parts + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
     with ThreadPoolExecutor(max_workers=parts - 1) as pool:
         rest = [pool.submit(fn, lo, hi) for lo, hi in blocks[1:]]
         return [fn(*blocks[0])] + [future.result() for future in rest]
@@ -291,8 +301,10 @@ def _causal_attention(
 def _ffn_rows(ctx: np.ndarray, weights: LayerWeights) -> np.ndarray:
     """``relu(ctx @ w_o @ ffn_in) @ ffn_out`` for every row, over ``_row_blocks`` in threads.
 
-    The calling thread allocates one (n, d) and one (n, ffn_inner) buffer;
-    the output reuses the first, whose rows are spent by then.
+    Prefill passes all of a layer's rows; prefill's top layer and decode
+    pass their one row. The calling thread allocates one (n, d) and one
+    (n, ffn_inner) buffer; the output reuses the first, whose rows are
+    spent by then.
     """
     n = ctx.shape[0]
     dtype = np.result_type(ctx, weights.w_o)
@@ -490,7 +502,7 @@ class ToyDecoder:
         q, k, v = project_qkv(h, top)
         kvs.append((k, v))
         ctx, _ = _attend(q[-1], [(k, v)], self.dims.heads, self._denom())
-        return kvs, np.maximum(ctx @ top.w_o @ top.ffn_in, 0.0) @ top.ffn_out
+        return kvs, _ffn_rows(ctx[None], top)[0]
 
     # -- incremental decode ---------------------------------------------------
 
@@ -509,9 +521,7 @@ class ToyDecoder:
             raise DimensionMismatch(f"embedding width {h.shape[0]} != {self.dims.hidden}")
         snapshot = None
         for layer_idx, weights in enumerate(self.layers):
-            q = h @ weights.w_q
-            k = h @ weights.w_k
-            v = h @ weights.w_v
+            (q,), (k,), (v,) = _qkv_rows(h[None], weights)
             cache.append_generated(layer_idx, k, v)
             segments, n_visual = cache.segments_for(layer_idx)
             out, _, avg_row = attention_segments(q, segments, self.dims.heads, self.scale)
@@ -525,7 +535,7 @@ class ToyDecoder:
                 )
                 if on_snapshot is not None:
                     on_snapshot(snapshot)
-            h = np.maximum((out @ weights.w_o) @ weights.ffn_in, 0.0) @ weights.ffn_out
+            h = _ffn_rows(out[None], weights)[0]
         return h, snapshot
 
     def select_token(self, hidden: np.ndarray) -> tuple[int, np.ndarray]:

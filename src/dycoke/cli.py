@@ -1,8 +1,10 @@
 """Command-line harness: simulate | sweep | replay | cost | bench.
 
-Exit codes: 0 success, 2 config/usage error, 3 invariant violation.
+Exit codes: 0 success, 2 config/usage error (a shape too large to
+allocate included), 3 invariant violation.
 Reports are JSON (CSV for sweeps); identical specs produce byte-identical
-reports unless timing output is requested.
+reports unless timing output is requested, and sweep CSVs apart from their
+timed mean_step_latency_ms column.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _dims_from(args) -> ModelDims:
     )
 
 
-def _spec_from(args) -> simulate.RunSpec:
+def _spec_from(args, timing: bool = False) -> simulate.RunSpec:
     return simulate.RunSpec(
         config=_config_from(args),
         dims=_dims_from(args),
@@ -95,7 +97,7 @@ def _spec_from(args) -> simulate.RunSpec:
         drift=args.drift,
         scale=args.scale,
         dtype=args.dtype,
-        timing=args.timing,
+        timing=timing,
     )
 
 
@@ -111,8 +113,7 @@ def _preset_dims(args) -> ModelDims:
 
 
 def cmd_simulate(args) -> int:
-    spec = _spec_from(args)
-    result = simulate.run_simulation(spec)
+    result = simulate.run_simulation(_spec_from(args, timing=args.timing))
     _emit(result.to_json(), args.report)
     if args.audit_log:
         _write_jsonl(result.audit, args.audit_log)
@@ -132,7 +133,7 @@ def cmd_sweep(args) -> int:
     grids = [_parse_grid(flag, g, t) for flag, g, t in
              (("--K-grid", args.K_grid, float), ("--L-grid", args.L_grid, int),
               ("--P-grid", args.P_grid, float))]
-    rows = simulate.run_sweep(base, *grids, jobs=args.jobs)
+    rows = simulate.run_sweep(base, *grids)
     if args.format == "csv":
         out = sys.stdout if not args.out else open(args.out, "w", newline="")
         try:
@@ -266,11 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-grid", default="0.3,0.5,0.7")
     p.add_argument("--L-grid", default="3")
     p.add_argument("--P-grid", default="0.7")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; at most one per grid cell and per CPU")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("replay", help="drive retention from recorded attention rows")
@@ -334,6 +332,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, trace_io.TraceError, trace_io.MissingAttentionBlock) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

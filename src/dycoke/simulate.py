@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import subprocess
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -70,7 +69,7 @@ def build_stamp() -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one simulation run needs; picklable for sweep workers."""
+    """Everything one simulation run needs."""
 
     config: CompressionConfig = CompressionConfig()
     dims: ModelDims = ModelDims(layers=6, hidden=64, ffn_inner=128, heads=4)
@@ -554,15 +553,10 @@ def run_bench(
 # -- sweep ----------------------------------------------------------------------
 
 
-def _sweep_cell(args: tuple[RunSpec, float, int, float]) -> dict:
-    base, k, l, p = args
+def _sweep_cell(base: RunSpec, k: float, l: int, p: float) -> dict:
     row = dict.fromkeys(SWEEP_COLUMNS, "") | {"K": k, "L": l, "P": p, "status": "ok"}
     try:
-        spec = replace(
-            base,
-            config=replace(base.config, k_rate=k, eval_layer=l, p_rate=p),
-            timing=True,
-        )
+        spec = replace(base, config=replace(base.config, k_rate=k, eval_layer=l, p_rate=p))
         result = run_simulation(spec)
         churn = [s["readmitted"] + s["evicted"] for s in result.steps]
         row.update(
@@ -580,22 +574,7 @@ def _sweep_cell(args: tuple[RunSpec, float, int, float]) -> dict:
 
 
 def run_sweep(
-    base: RunSpec,
-    k_values: list[float],
-    l_values: list[int],
-    p_values: list[float],
-    jobs: int = 1,
+    base: RunSpec, k_values: list[float], l_values: list[int], p_values: list[float]
 ) -> list[dict]:
-    """Cross-product sweep over (K, L, P); one row per cell, grid order.
-
-    Cells run in ``min(jobs, cells, cpus)`` processes: the pool forks all
-    of its workers up front, so ``jobs`` alone must not set their number.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cells = [(base, k, l, p) for k in k_values for l in l_values for p in p_values]
-    workers = min(jobs, len(cells), _cpus())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_sweep_cell(c) for c in cells]
+    """Cross-product sweep over (K, L, P); one row per cell, run in grid order in this process."""
+    return [_sweep_cell(base, k, l, p) for k in k_values for l in l_values for p in p_values]

@@ -24,7 +24,6 @@ from dycoke.attention import (
     project_qkv,
 )
 from dycoke.dynkv import DualCache, retention_quota, initial_prune, dynamic_swap
-from dycoke.simulate import RunSpec, run_sweep
 from dycoke.tokens import CompressionConfig, TokenId
 
 
@@ -528,30 +527,6 @@ def test_forward_full_peak_memory_below_one_logit_matrix_with_a_worker_per_head(
     assert peak < n * n * np.dtype(np.float64).itemsize
 
 
-def test_threaded_prefill_then_forked_sweep_matches_sequential(monkeypatch):
-    # Threads of a prefill must all be gone before run_sweep forks workers,
-    # and the forked workers (which inherit the forced count) must agree.
-    force_workers(monkeypatch, 2)
-    threads = threading.active_count()
-    dec = ToyDecoder(ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4), seed=1)
-    dec.prefill(np.random.default_rng(1).standard_normal((70, 16)))
-    assert threading.active_count() == threads
-    base = RunSpec(
-        config=CompressionConfig(k_rate=0.5, eval_layer=2, p_rate=0.7, heads=4, seed=0),
-        dims=ModelDims(layers=5, hidden=16, ffn_inner=32, heads=4),
-        frames=8,
-        tokens_per_frame=20,
-        text_tokens=3,
-        decode_steps=2,
-    )
-    seq = run_sweep(base, [0.3, 0.7], [2], [0.5, 0.7], jobs=1)
-    par = run_sweep(base, [0.3, 0.7], [2], [0.5, 0.7], jobs=2)
-    strip = lambda rows: [
-        {k: v for k, v in r.items() if k != "mean_step_latency_ms"} for r in rows
-    ]
-    assert strip(seq) == strip(par)
-
-
 # -- prefill worker rule ------------------------------------------------------------
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -716,8 +691,70 @@ def test_project_qkv_once_per_layer_on_calling_thread(monkeypatch):
     dec.forward_full(rows)
     assert calls == [threading.get_ident()] * 3
     calls.clear()
-    dec.prefill(rows)
+    kvs, last = dec.prefill(rows)
     assert calls == [threading.get_ident()] * 3
+
+    # Decode projects its row without project_qkv, so perfbench's
+    # prefill_qkv span holds no decode time, and calls attention_segments
+    # once per layer, bottom up, over that layer's segments, which is how
+    # perfbench tells eval-layer from pruned-layer attention.
+    calls.clear()
+    cache = _plain_cache(kvs, n_vis=80, n_text=10, quota=40, eval_layer=1)
+    served, attended = [], []
+    segments_for = cache.segments_for
+
+    def recorded_segments_for(layer):
+        out = segments_for(layer)
+        served.append((layer, out[0]))
+        return out
+
+    original_segments = attention.attention_segments
+
+    def recorded_segments(query, segments, *args, **kwargs):
+        attended.append((len(served), segments))
+        return original_segments(query, segments, *args, **kwargs)
+
+    monkeypatch.setattr(cache, "segments_for", recorded_segments_for)
+    monkeypatch.setattr(attention, "attention_segments", recorded_segments)
+    _, emb = dec.select_token(last)
+    dec.decode_step(emb, cache, 0)
+    assert calls == []
+    assert [layer for layer, _ in served] == [0, 1, 2]
+    assert [n for n, _ in attended] == [1, 2, 3]
+    for (_, want), (_, got) in zip(served, attended, strict=True):
+        assert got is want
+
+
+def decode_reference(dec: ToyDecoder, emb: np.ndarray, cache: DualCache) -> np.ndarray:
+    """One decode step written with 1-D ``h @ w`` products and no row-block helper."""
+    h = emb
+    for layer, w in enumerate(dec.layers):
+        q, k, v = h @ w.w_q, h @ w.w_k, h @ w.w_v
+        cache.append_generated(layer, k, v)
+        segments, _ = cache.segments_for(layer)
+        out, _, _ = attention_segments(q, segments, dec.dims.heads, dec.scale)
+        h = np.maximum((out @ w.w_o) @ w.ffn_in, 0.0) @ w.ffn_out
+    return h
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden, ffn, heads", [(16, 32, 4), (128, 320, 4)])
+def test_decode_step_bit_equal_to_one_dimensional_products(dtype, hidden, ffn, heads):
+    # decode_step runs its row through the row-block projection and FFN that
+    # prefill uses; as a one-row block they must give the 1-D products' bits.
+    dec = ToyDecoder(ModelDims(layers=3, hidden=hidden, ffn_inner=ffn, heads=heads), seed=4,
+                     dtype=dtype)
+    kvs, last = dec.prefill(np.random.default_rng(4).standard_normal((40, hidden)))
+    got_cache, want_cache = (
+        _plain_cache(kvs, n_vis=30, n_text=10, quota=30, eval_layer=1) for _ in range(2)
+    )
+    _, emb = dec.select_token(last)
+    for step in range(4):
+        got, _ = dec.decode_step(emb, got_cache, step)
+        want = decode_reference(dec, emb, want_cache)
+        assert got.dtype == want.dtype == dtype and got.shape == (hidden,)
+        assert got.tobytes() == want.tobytes(), step
+        _, emb = dec.select_token(got)
 
 
 def test_cache_length_bookkeeping():

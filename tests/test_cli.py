@@ -133,16 +133,33 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_sweep_jobs_below_one_exits_2(jobs, tmp_path, capsys):
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--timing"]], ids=["jobs", "timing"])
+def test_sweep_removed_flags_exit_2(flag, tmp_path, capsys):
+    # sweep runs its cells in this process, and its CSV has one timed column
+    # whatever --timing says, so neither flag exists.
     out = tmp_path / "sweep.csv"
-    code = run_cli(
-        "sweep", "--frames", "4", "--tokens-per-frame", "6", "--dim", "16", "--layers", "3",
-        "--L-grid", "2", "-R", "1", "--jobs", jobs, "--out", str(out),
-    )
-    assert code == 2
-    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--L-grid", "2", "-R", "1", *flag, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "-R", "100000000000000"],
+        ["bench", "--model", "custom", "--d", "16", "--m", "32", "--frames", "2",
+         "--tokens-per-frame", "4", "--steps", "1000000000000"],
+    ],
+)
+def test_unallocatable_step_count_exits_2(argv, capsys):
+    # The decode cache reserves a row per step up front; numpy refuses the
+    # petabyte request before allocating anything.
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert err.count("\n") == 1
 
 
 def test_replay_cli(tmp_path):

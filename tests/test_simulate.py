@@ -304,50 +304,20 @@ def test_sweep_empty_grid():
     assert run_sweep(small_spec(), [], [2], [0.7]) == []
 
 
-def test_sweep_worker_pool_matches_sequential():
-    base = small_spec(tokens_per_frame=20, decode_steps=2)
-    seq = run_sweep(base, [0.3, 0.7], [2], [0.5, 0.7], jobs=1)
-    par = run_sweep(base, [0.3, 0.7], [2], [0.5, 0.7], jobs=2)
-    strip = lambda rows: [
-        {k: v for k, v in r.items() if k != "mean_step_latency_ms"} for r in rows
-    ]
-    assert strip(seq) == strip(par)
+def test_sweep_runs_cells_in_grid_order_in_this_process(monkeypatch):
+    # No worker process: every cell runs here, K varying slowest and P fastest.
+    ran = []
+    real = simulate.run_simulation
 
+    def recorded(spec):
+        ran.append((os.getpid(), spec.config.k_rate, spec.config.eval_layer, spec.config.p_rate))
+        return real(spec)
 
-@pytest.mark.parametrize(
-    "jobs, k_values, cpus, workers",
-    [
-        (100_000, [0.3, 0.7], 2, 2),  # capped by the cells and the cpus
-        (100_000, [0.2, 0.4, 0.6], 8, 3),  # capped by the cells
-        (100_000, [0.2, 0.4, 0.6], 2, 2),  # capped by the cpus
-        (2, [0.2, 0.4, 0.6], 8, 2),  # jobs below both
-        (100_000, [0.2, 0.4, 0.6], 1, None),  # one cpu: sequential, no pool
-        (3, [0.5], 8, None),  # one cell: sequential, no pool
-    ],
-)
-def test_sweep_caps_process_pool(monkeypatch, jobs, k_values, cpus, workers):
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cells):
-            return map(fn, cells)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
-    rows = run_sweep(small_spec(decode_steps=1), k_values, [2], [0.7], jobs=jobs)
-    assert [r["status"] for r in rows] == ["ok"] * len(k_values)
-    assert sizes == ([] if workers is None else [workers])
+    monkeypatch.setattr(simulate, "run_simulation", recorded)
+    rows = run_sweep(small_spec(decode_steps=1), [0.3, 0.7], [1, 2], [0.5, 0.7])
+    grid = [(k, l, p) for k in (0.3, 0.7) for l in (1, 2) for p in (0.5, 0.7)]
+    assert ran == [(os.getpid(), *cell) for cell in grid]
+    assert [(r["K"], r["L"], r["P"], r["status"]) for r in rows] == [(*c, "ok") for c in grid]
 
 
 def test_bench_layer_fill_independent_of_threads(monkeypatch):
