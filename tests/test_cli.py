@@ -145,6 +145,17 @@ def test_sweep_removed_flags_exit_2(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exits_2(jobs, tmp_path, capsys):
+    # --jobs is gone, so a non-positive value is refused as an unknown argument.
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--L-grid", "2", "-R", "1", "--jobs", jobs, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
