@@ -13,14 +13,10 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 import numpy as np
 
 from .tokens import TokenId
-
-
-T = TypeVar("T")
 
 
 class DimensionMismatch(ValueError):
@@ -83,10 +79,11 @@ def _layer_draws(dims: ModelDims) -> dict[str, tuple[tuple[int, int], float]]:
     }
 
 
-def _empty_layer(dims: ModelDims, dtype) -> LayerWeights:
-    return LayerWeights(
-        **{name: np.empty(shape, dtype) for name, (shape, _) in _layer_draws(dims).items()}
-    )
+def _empty_layer(dims: ModelDims, dtype) -> tuple[LayerWeights, list[tuple[np.ndarray, float]]]:
+    """One layer's unfilled weights, and each matrix with its draw scale, in draw order."""
+    draws = {name: (np.empty(shape, dtype), scale)
+             for name, (shape, scale) in _layer_draws(dims).items()}
+    return LayerWeights(**{name: out for name, (out, _) in draws.items()}), list(draws.values())
 
 
 # float64 values per chunk of a draw into a narrower dtype: each chunk is
@@ -117,17 +114,31 @@ def _fill_normal(rng: np.random.Generator, out: np.ndarray, scale: float) -> Non
         flat[lo : lo + x.size] = x
 
 
-def _draw_layer(weights: LayerWeights, dims: ModelDims, seed: int, layer: int) -> None:
-    """Fill ``_empty_layer`` arrays from the layer's own ``[seed, 100, layer]`` stream."""
-    rng = np.random.default_rng([seed % 2**32, 100, layer])
-    for name, (_, scale) in _layer_draws(dims).items():
-        _fill_normal(rng, getattr(weights, name), scale)
+def _fill_layers(
+    layers: list[tuple[int, list[tuple[np.ndarray, float]]]], seed: int, stream: int
+) -> None:
+    """Fill each (layer, outs) entry's (array, scale) pairs, in order, from the layer's own stream.
+
+    The stream is ``[seed, stream, layer]``, so the bits do not depend on
+    how the entries are grouped: contiguous groups run on ``min(entries,
+    cpus)`` threads, a count that ignores the BLAS variables since the
+    draws use no BLAS. The caller allocates the arrays, so a worker leaves
+    no large freed buffer in a malloc arena of its own.
+    """
+
+    def fill(lo: int, hi: int) -> None:
+        for layer, outs in layers[lo:hi]:
+            rng = np.random.default_rng([seed % 2**32, stream, layer])
+            for out, scale in outs:
+                _fill_normal(rng, out, scale)
+
+    _run_blocks(fill, len(layers), _cpus())
 
 
 def layer_weights(dims: ModelDims, seed: int, layer: int, dtype=np.float64) -> LayerWeights:
-    """Seeded weights for one layer, drawn from its own stream."""
-    weights = _empty_layer(dims, dtype)
-    _draw_layer(weights, dims, seed, layer)
+    """Seeded weights for one layer, drawn from its own ``[seed, 100, layer]`` stream."""
+    weights, outs = _empty_layer(dims, dtype)
+    _fill_layers([(layer, outs)], seed, 100)
     return weights
 
 
@@ -212,8 +223,8 @@ def _prefill_workers(n: int) -> int:
     return max(1, min(n, cpus // blas_threads))
 
 
-def _run_blocks(fn: Callable[[int, int], T], n: int, parts: int) -> list[T]:
-    """``fn(lo, hi)`` over contiguous blocks of ``range(n)``, all at once; results in order.
+def _run_blocks(fn: Callable[[int, int], None], n: int, parts: int) -> None:
+    """``fn(lo, hi)`` over contiguous blocks of ``range(n)``, all at once.
 
     There are ``parts`` blocks, clamped to [1, n]. The calling thread runs
     the first block and a pool made for this call one thread for each other
@@ -222,12 +233,14 @@ def _run_blocks(fn: Callable[[int, int], T], n: int, parts: int) -> list[T]:
     """
     parts = max(1, min(parts, n))
     if parts == 1:
-        return [fn(0, n)]
+        return fn(0, n)
     bounds = [b * n // parts for b in range(parts + 1)]
     blocks = list(zip(bounds, bounds[1:]))
     with ThreadPoolExecutor(max_workers=parts - 1) as pool:
         rest = [pool.submit(fn, lo, hi) for lo, hi in blocks[1:]]
-        return [fn(*blocks[0])] + [future.result() for future in rest]
+        fn(*blocks[0])
+        for future in rest:
+            future.result()
 
 
 def _row_blocks(fn: Callable[[int, int], None], n: int) -> None:
@@ -237,9 +250,10 @@ def _row_blocks(fn: Callable[[int, int], None], n: int) -> None:
     a gemv, whose bits differ from the gemm's, while a gemm block of two or
     more rows gives the bits of the same rows of the whole product. ``fn``
     writes into arrays the calling thread allocated, so no worker leaves
-    large freed buffers in a malloc arena of its own.
+    large freed buffers in a malloc arena of its own. Fewer than four rows
+    make one block, so decode's one row skips the thread planner.
     """
-    _run_blocks(fn, n, _prefill_workers(n // 2))
+    _run_blocks(fn, n, _prefill_workers(n // 2) if n >= 4 else 1)
 
 
 def _causal_attention(
@@ -418,24 +432,6 @@ class AttentionSnapshot:
     row_total: float | None = None
 
 
-def _draw_layers(dims: ModelDims, seed: int, dtype) -> list[LayerWeights]:
-    """``layer_weights`` of every layer, drawn by contiguous layer groups on ``min(layers, cpus)`` threads.
-
-    Each layer has its own seeded stream, so the weights do not depend on
-    the grouping; the draws use no BLAS, so the thread count ignores the
-    BLAS variables. The calling thread allocates the weights, so a worker
-    leaves no large freed buffer in a malloc arena of its own.
-    """
-    layers = [_empty_layer(dims, dtype) for _ in range(dims.layers)]
-
-    def draw(lo: int, hi: int) -> None:
-        for layer in range(lo, hi):
-            _draw_layer(layers[layer], dims, seed, layer)
-
-    _run_blocks(draw, dims.layers, _cpus())
-    return layers
-
-
 # Token vocabulary of the toy decoder's seeded embedding and output projection.
 VOCAB_SIZE = 128
 
@@ -455,7 +451,10 @@ class ToyDecoder:
         self.seed = seed
         self.scale = scale
         self.dtype = np.dtype(dtype)
-        self.layers = _draw_layers(dims, seed, self.dtype)
+        # ``layer_weights`` of every layer, drawn in threads
+        empty = [_empty_layer(dims, self.dtype) for _ in range(dims.layers)]
+        self.layers = [weights for weights, _ in empty]
+        _fill_layers([(layer, outs) for layer, (_, outs) in enumerate(empty)], seed, 100)
         rng = np.random.default_rng([seed % 2**32, 200])
         self.embedding = rng.standard_normal((VOCAB_SIZE, dims.hidden)).astype(self.dtype)
         self.unembed = (

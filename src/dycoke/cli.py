@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import costmodel, dynkv, simulate, trace as trace_io
@@ -34,10 +35,13 @@ def _write_jsonl(rows: list[dict], path: str) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _add_compression_flags(p: argparse.ArgumentParser) -> None:
+def _add_rate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-K", "--k-rate", type=float, default=0.7, help="stage-1 pruning rate")
     p.add_argument("-L", "--eval-layer", type=int, default=3, help="attention evaluation layer")
     p.add_argument("-P", "--p-rate", type=float, default=0.7, help="stage-2 pruning rate")
+
+
+def _add_compression_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=4, help="sliding window length in frames")
     p.add_argument("--merge-mode", choices=("drop", "mean"), default="drop")
     p.add_argument("--seed", type=int, default=0)
@@ -63,14 +67,14 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> CompressionConfig:
+    """The run's config; sweep has no rate flags, so its cells set K, L and P from the grids."""
+    rates = {f: getattr(args, f) for f in ("k_rate", "eval_layer", "p_rate") if f in vars(args)}
     return CompressionConfig(
-        k_rate=args.k_rate,
-        eval_layer=args.eval_layer,
-        p_rate=args.p_rate,
         window_len=args.window,
         heads=args.heads,
         seed=args.seed,
         merge_mode=args.merge_mode,
+        **rates,
     )
 
 
@@ -101,12 +105,26 @@ def _spec_from(args, timing: bool = False) -> simulate.RunSpec:
     )
 
 
-def _preset_dims(args) -> ModelDims:
+def _model_dims(args, heads: int | None, custom_heads: int) -> ModelDims:
+    """The shape ``--model`` names, with its depth and head count overridden by
+    ``--layers`` and ``heads`` when given.
+
+    ``custom`` names no shape: it needs ``--d``, ``--m`` and ``--layers``, and
+    has ``custom_heads`` heads unless ``heads`` is given.
+    """
     if args.model != "custom":
-        return MODEL_PRESETS[args.model]
-    if None in (args.d, args.m, args.layers):
-        raise ValueError("--model custom requires --d, --m and --layers")
-    return ModelDims(layers=args.layers, hidden=args.d, ffn_inner=args.m, heads=1)
+        preset = MODEL_PRESETS[args.model]
+        return replace(
+            preset,
+            layers=preset.layers if args.layers is None else args.layers,
+            heads=preset.heads if heads is None else heads,
+        )
+    given = {"--d": args.d, "--m": args.m, "--layers": args.layers}
+    missing = " and ".join(flag for flag, value in given.items() if value is None)
+    if missing:
+        raise ValueError(f"--model custom requires {missing}")
+    return ModelDims(layers=args.layers, hidden=args.d, ffn_inner=args.m,
+                     heads=custom_heads if heads is None else heads)
 
 
 # -- subcommands ------------------------------------------------------------
@@ -165,8 +183,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    dims = _preset_dims(args)
-    config = CompressionConfig(k_rate=args.k_rate, p_rate=args.p_rate, heads=dims.heads)
+    dims = _model_dims(args, heads=None, custom_heads=1)
+    config = CompressionConfig(k_rate=args.k_rate, p_rate=args.p_rate)
     n_visual = args.frames * args.tokens_per_frame
     report = costmodel.compression_report(
         config, dims, n_visual, n_text=args.text_tokens, decode_steps=args.steps
@@ -206,19 +224,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    layers = 2 if args.layers is None else args.layers
-    if args.model != "custom":
-        preset = MODEL_PRESETS[args.model]
-        dims = ModelDims(
-            layers=layers,
-            hidden=preset.hidden,
-            ffn_inner=preset.ffn_inner,
-            heads=preset.heads,
-        )
-    else:
-        if args.d is None or args.m is None:
-            raise ValueError("--model custom requires --d and --m")
-        dims = ModelDims(layers=layers, hidden=args.d, ffn_inner=args.m, heads=args.heads)
+    dims = _model_dims(args, heads=args.heads, custom_heads=4)
     config = CompressionConfig(
         k_rate=args.k_rate, eval_layer=args.eval_layer, p_rate=args.p_rate,
         window_len=args.window, heads=dims.heads, seed=args.seed,
@@ -246,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one end-to-end compression simulation")
+    _add_rate_flags(p)
     _add_compression_flags(p)
     _add_model_flags(p)
     _add_input_flags(p)
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include wall-clock timings (report no longer byte-stable)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="cross-product sweep over K, L, P")
+    p = sub.add_parser("sweep", help="cross-product sweep over the K, L and P grids")
     _add_compression_flags(p)
     _add_model_flags(p, layers_default=12)
     _add_input_flags(p)
@@ -272,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("replay", help="drive retention from recorded attention rows")
+    _add_rate_flags(p)
     _add_compression_flags(p)
     p.add_argument("--heads", type=int, default=4,
                    help="echoed in the report's config only; replay runs no attention")
@@ -284,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("0.5b", "7b", "72b", "custom"), default="7b")
     p.add_argument("--d", type=int, default=None, help="hidden size (custom model)")
     p.add_argument("--m", type=int, default=None, help="FFN inner size (custom model)")
-    p.add_argument("--layers", type=int, default=None, help="layer count (custom model)")
+    p.add_argument("--layers", type=int, default=None,
+                   help="layer count (default: the preset's; required for custom)")
     p.add_argument("--frames", type=int, default=32)
     p.add_argument("--tokens-per-frame", type=int, default=196)
     p.add_argument("--text-tokens", type=int, default=0)
@@ -298,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("0.5b", "7b", "72b", "custom"), default="7b")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None,
+    p.add_argument("--layers", type=int, default=2,
                    help="layer count (default 2: per-step cost scales linearly in layers)")
-    p.add_argument("--heads", type=int, default=4)
+    p.add_argument("--heads", type=int, default=None,
+                   help="head count (default: the preset's; 4 for custom)")
     p.add_argument("-K", "--k-rate", type=float, default=0.7)
     p.add_argument("-L", "--eval-layer", type=int, default=0)
     p.add_argument("-P", "--p-rate", type=float, default=0.7)

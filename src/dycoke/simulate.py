@@ -22,10 +22,8 @@ from .attention import (
     AttentionSnapshot,
     ModelDims,
     ToyDecoder,
-    _cpus,
-    _fill_normal,
+    _fill_layers,
     _prefill_workers,
-    _run_blocks,
 )
 from .tokens import CompressionConfig, TextTokens, VisualTokenGrid, synth_grid, synth_text
 from .ttm import TtmResult, apply_ttm
@@ -367,9 +365,11 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
 
     The trace must hold one attention block per step at the eval layer,
     covering every original visual token; rows are subset to stage-1
-    survivors. A dycoke cache and a one-shot baseline run side by side and
-    the per-step Jaccard overlap of their retained sets quantifies how far
-    a single-shot decision drifts from the tracked one.
+    survivors. The per-step Jaccard overlap of the tracked retained set with
+    the one-shot baseline's quantifies how far a single-shot decision drifts
+    from the tracked one. The baseline needs no cache of its own: one-shot
+    pruning is step 0's prune plus a freeze, so its set stays step 0's
+    retained rows.
     """
     config.validate()
     contents = trace_io.load_trace(trace_path)
@@ -387,24 +387,21 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     quota = dynkv.retention_quota(survivors, config.p_rate)
 
     # Membership only: one layer, the eval layer, so no pruned-layer rows are copied.
-    tracked, baseline = (
-        dynkv.DualCache([(ttm.data, ttm.data)], ttm.token_ids, 0, quota, eval_layer=0)
-        for _ in range(2)
-    )
+    tracked = dynkv.DualCache([(ttm.data, ttm.data)], ttm.token_ids, 0, quota, eval_layer=0)
 
     audit: list[dict] = []
     steps: list[dict] = []
-    jac = 1.0
     for step in range(last + 1):
         scores = contents.attention[(step, layer)][ttm.rows].astype(np.float64)
         snapshot = AttentionSnapshot(
             step=step, layer=layer, scores=scores, token_ids=tracked.token_ids
         )
         decision = _decide("dycoke", step, snapshot, tracked, config)
-        _decide("one_shot", step, snapshot, baseline, config)
         tracked.check_invariants(step)
         audit.append(decision.to_json())
-        jac = jaccard(tracked.active_rows.tolist(), baseline.active_rows.tolist())
+        if step == 0:
+            one_shot = decision.retained_rows.tolist()
+        jac = jaccard(tracked.active_rows.tolist(), one_shot)
         steps.append(_step_row(step, decision) | {"jaccard_one_shot": jac})
 
     echo = {"trace_path": str(trace_path), "config": asdict(config)}
@@ -499,18 +496,11 @@ def run_bench(
             quota = dynkv.retention_quota(len(ids), config.p_rate)
         # Synthetic K/V fill: decode-step cost depends on cache shape, not values,
         # so the expensive prefill GEMMs are skipped for timing runs.
-        # Each layer draws from its own stream, so the layers fill in threads.
         shape = (len(ids) + text_tokens, dims.hidden)
         kvs = [(np.empty(shape, decoder.dtype), np.empty(shape, decoder.dtype))
                for _ in range(dims.layers)]
-
-        def fill(lo: int, hi: int) -> None:
-            for layer in range(lo, hi):
-                rng = np.random.default_rng([config.seed % 2**32, 400, layer])
-                for out in kvs[layer]:
-                    _fill_normal(rng, out, 1.0)
-
-        _run_blocks(fill, dims.layers, _cpus())
+        _fill_layers([(layer, [(k, 1.0), (v, 1.0)]) for layer, (k, v) in enumerate(kvs)],
+                     config.seed, 400)
         cache = dynkv.DualCache(
             kvs, ids, text_tokens, quota, config.eval_layer, reserve_steps=steps + warmup + 2
         )
@@ -568,7 +558,7 @@ def _sweep_cell(base: RunSpec, k: float, l: int, p: float) -> dict:
                 "mean_step_latency_ms": result.timings["mean_step_s"] * 1e3,
             }
         )
-    except Exception as exc:  # cell failures are recorded, the sweep continues
+    except ValueError as exc:  # a bad cell value is recorded, the sweep continues
         row["status"] = f"error: {exc}"
     return row
 

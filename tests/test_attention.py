@@ -633,6 +633,18 @@ def test_row_blocks_match_whole_matrix_products(monkeypatch, workers):
         sys.setswitchinterval(interval)
 
 
+def test_row_blocks_skip_thread_planner_below_four_rows(monkeypatch):
+    # Fewer than four rows make one block at any thread count, so decode's
+    # one-row products never read the CPU affinity or the BLAS variables.
+    asked = []
+    monkeypatch.setattr(attention, "_prefill_workers", lambda n: asked.append(n) or 1)
+    blocks = []
+    for n in range(5):
+        attention._row_blocks(lambda lo, hi: blocks.append((lo, hi)), n)
+    assert blocks == [(0, n) for n in range(5)]
+    assert asked == [2]
+
+
 def old_layer_weights(dims, seed, layer, dtype):
     """Each draw scaled into a fresh array, then cast."""
     d, m = dims.hidden, dims.ffn_inner

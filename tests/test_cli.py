@@ -34,6 +34,18 @@ def test_cost_custom_model_requires_dims():
     assert run_cli("cost", "--model", "custom") == 2
 
 
+def test_cost_preset_honours_layers(capsys):
+    # --model names a shape and --layers overrides its depth
+    reports = []
+    for model in (["--model", "7b"], ["--model", "custom", "--d", "3584", "--m", "18944"]):
+        assert run_cli("cost", *model, "--layers", "2", "-R", "10") == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    preset, custom = reports
+    assert preset.pop("model") == "7b" and custom.pop("model") == "custom"
+    assert preset == custom
+    assert preset["dims"]["layers"] == 2
+
+
 def test_simulate_report_and_logs(tmp_path):
     report = tmp_path / "run.json"
     audit = tmp_path / "audit.jsonl"
@@ -133,10 +145,15 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--timing"]], ids=["jobs", "timing"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--jobs", "2"], ["--timing"], ["-K", "0.5"], ["-L", "2"], ["-P", "0.5"]],
+    ids=["jobs", "timing", "K", "L", "P"],
+)
 def test_sweep_removed_flags_exit_2(flag, tmp_path, capsys):
-    # sweep runs its cells in this process, and its CSV has one timed column
-    # whatever --timing says, so neither flag exists.
+    # sweep runs its cells in this process, its CSV has one timed column
+    # whatever --timing says, and every cell takes K, L and P from the
+    # grids, so none of these flags exists.
     out = tmp_path / "sweep.csv"
     with pytest.raises(SystemExit) as exc:
         run_cli("sweep", "--L-grid", "2", "-R", "1", *flag, "--out", str(out))
@@ -223,6 +240,18 @@ def test_bench_smoke(tmp_path):
     none_rows = strategies["0:none"]["active_visual_rows_pruned_layers"]
     dycoke_rows = strategies["1:dycoke"]["active_visual_rows_pruned_layers"]
     assert dycoke_rows < none_rows
+
+
+def test_bench_preset_honours_heads(tmp_path):
+    out = tmp_path / "bench.json"
+    code = run_cli(
+        "bench", "--model", "0.5b", "--heads", "7", "--layers", "1", "--frames", "4",
+        "--tokens-per-frame", "8", "--steps", "1", "--warmup", "0", "--report", str(out),
+    )
+    assert code == 0
+    spec = json.loads(out.read_text())["spec"]
+    assert spec["dims"] == {"layers": 1, "hidden": 896, "ffn_inner": 4864, "heads": 7}
+    assert spec["config"]["heads"] == 7
 
 
 def test_bench_same_strategy_speedup_near_one(tmp_path):
@@ -336,6 +365,21 @@ def test_invariant_violation_exits_3_with_state_dump(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "invariant violation" in err
     assert json.loads(err.splitlines()[-1]) == {"step": 7, "active": 1, "quota": 2}
+
+
+def test_sweep_invariant_violation_exits_3(monkeypatch, tmp_path, capsys):
+    # only a bad cell value becomes a CSV row; a broken invariant stops the sweep
+    from dycoke import simulate
+    from dycoke.dynkv import InvariantViolation
+
+    def boom(spec):
+        raise InvariantViolation("forced", {"step": 0})
+
+    monkeypatch.setattr(simulate, "run_simulation", boom)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--L-grid", "2", "-R", "1", "--out", str(out)) == 3
+    assert "invariant violation: forced" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Values each CLI input rejects. An example corrupts at most two inputs, so

@@ -334,7 +334,7 @@ def test_bench_layer_fill_independent_of_threads(monkeypatch):
     dims = ModelDims(layers=3, hidden=16, ffn_inner=32, heads=4)
     config = CompressionConfig(k_rate=0.5, eval_layer=0, p_rate=0.7, heads=4, seed=7)
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(simulate, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(attention, "_cpus", lambda cpus=cpus: cpus)
         run_bench(dims, config, 4, 10, text_tokens=2, steps=1, warmup=0)
     assert len(filled) == 6
     for slot in (0, 1):
