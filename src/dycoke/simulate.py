@@ -210,7 +210,7 @@ class SimResult:
                 "visual_total": self.total_visual,
                 "stage1_retained": self.ttm.retained_count,
                 "stage1_removed": self.total_visual - self.ttm.retained_count,
-                "merge_records": len(self.ttm.records),
+                "merge_records": len(self.ttm.removed_rows),
                 "text": self.text_count,
                 "generated": len(self.decoded_ids),
                 "retention_quota": self.quota,

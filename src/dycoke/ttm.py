@@ -10,12 +10,16 @@ floor(k_rate * tokens_per_frame) highest-similarity tokens are merged away.
 Merging drops the redundant token and lets the kept counterpart stand for
 both (merge_mode='drop', the default) or folds it into the counterpart by
 averaging (merge_mode='mean').
+
+Each window's frames are converted to float64, and each frame's row norms
+taken, once; every pair in the window reuses them. The merge audit trail is
+kept as arrays, and ``TtmResult.records`` builds its MergeRecords on read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,17 +37,36 @@ class MergeRecord(NamedTuple):
 
 @dataclass
 class TtmResult:
-    """Stage-1 output: surviving tokens with provenance, plus the audit trail."""
+    """Stage-1 output: surviving tokens with provenance, plus the audit trail.
+
+    The audit trail is held as three arrays in merge order: each removed
+    grid row, the survivor row it now stands as, and its similarity.
+    ``records`` builds the MergeRecords from them only when read, since the
+    report writes just their count.
+    """
 
     token_ids: list[TokenId]
     data: np.ndarray
-    records: list[MergeRecord]
     retained_ratio: float
     rows: np.ndarray  # the survivors' grid rows, in token_ids order
+    removed_rows: np.ndarray = field(repr=False)
+    kept_as_rows: np.ndarray = field(repr=False)
+    similarities: np.ndarray = field(repr=False)
+    tokens_per_frame: int
 
     @property
     def retained_count(self) -> int:
         return len(self.token_ids)
+
+    @property
+    def records(self) -> list[MergeRecord]:
+        n_v = self.tokens_per_frame
+        return [
+            MergeRecord(TokenId(*divmod(r, n_v)), TokenId(*divmod(k, n_v)), sim)
+            for r, k, sim in zip(
+                self.removed_rows.tolist(), self.kept_as_rows.tolist(), self.similarities.tolist()
+            )
+        ]
 
 
 def partition_windows(frames: int, window_len: int) -> tuple[tuple[int, ...], ...]:
@@ -60,20 +83,6 @@ def partition_windows(frames: int, window_len: int) -> tuple[tuple[int, ...], ..
         tuple(range(start, min(start + window_len, frames)))
         for start in range(0, frames, window_len)
     )
-
-
-def _frame_similarities(grid: VisualTokenGrid, frame: int, ref_frame: int) -> np.ndarray:
-    """Per-position cosine similarity between two frames, zero-norm rows -> 0."""
-    a = grid.frame_rows(frame).astype(np.float64)
-    b = grid.frame_rows(ref_frame).astype(np.float64)
-    dots = np.einsum("ij,ij->i", a, b)
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    denom = na * nb
-    ok = (na >= ZERO_NORM_EPS) & (nb >= ZERO_NORM_EPS)
-    sims = np.zeros(a.shape[0], dtype=np.float64)
-    np.divide(dots, denom, out=sims, where=ok)
-    return np.clip(sims, -1.0, 1.0)
 
 
 def per_frame_quota(k_rate: float, tokens_per_frame: int) -> int:
@@ -105,38 +114,44 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
     quota = per_frame_quota(config.k_rate, n_v)
     # Grid row each token stands in for: itself while kept, else its counterpart.
     kept_as = np.arange(grid.total_tokens)
-    removed: list[int] = []
-    similarities: list[float] = []
+    removed = [np.empty(0, dtype=np.intp)]
+    similarities = [np.empty(0, dtype=np.float64)]
 
-    for window in partition_windows(grid.frames, config.window_len):
-        for offset in range(1, len(window)):
-            frame = window[offset]
+    # One window of frames in float64, refilled for each window.
+    frames = np.empty((config.window_len, n_v, grid.hidden_dim), dtype=np.float64)
+    windows = partition_windows(grid.frames, config.window_len) if quota else ()
+    for window in windows:
+        start, size = window[0] * n_v, len(window)
+        frames[:size] = grid.data[start : start + size * n_v].reshape(size, n_v, -1)
+        norms = [np.linalg.norm(rows, axis=1) for rows in frames[:size]]
+        for offset in range(1, size):
             # Odd offsets (group E) score against the preceding O frame;
             # even offsets (later O frames) score against the window's first.
-            ref = window[offset - 1] if offset % 2 == 1 else window[0]
-            if quota == 0:
-                continue
-            sims = _frame_similarities(grid, frame, ref)
+            ref = offset - 1 if offset % 2 == 1 else 0
+            # Cosine similarity per position; zero-norm rows score 0.
+            dots = np.einsum("ij,ij->i", frames[offset], frames[ref])
+            ok = (norms[offset] >= ZERO_NORM_EPS) & (norms[ref] >= ZERO_NORM_EPS)
+            sims = np.zeros(n_v, dtype=np.float64)
+            np.divide(dots, norms[offset] * norms[ref], out=sims, where=ok)
+            sims = np.clip(sims, -1.0, 1.0)
             # Sort by similarity descending, position ascending on ties.
             take = np.lexsort((np.arange(n_v), -sims))[:quota]
-            kept_as[frame * n_v + take] = ref * n_v + take
-            removed.extend((frame * n_v + take).tolist())
-            similarities.extend(sims[take].tolist())
+            merged = start + offset * n_v + take
+            kept_as[merged] = start + ref * n_v + take
+            removed.append(merged)
+            similarities.append(sims[take])
 
     # Redirect chains: an odd-offset frame merges into the even-offset frame
     # before it, which merges into the window's first frame, which is never
     # pruned; so one lookup takes every target to its final survivor.
     kept_as = kept_as[kept_as]
     survivors = np.flatnonzero(kept_as == np.arange(grid.total_tokens))
+    removed = np.concatenate(removed)
     kept = kept_as[removed]
-    records = [
-        MergeRecord(TokenId(*divmod(r, n_v)), TokenId(*divmod(k, n_v)), sim)
-        for r, k, sim in zip(removed, kept.tolist(), similarities)
-    ]
     data = grid.data[survivors]
     if config.merge_mode == "mean":
         # Each kept row becomes the mean of itself and everything merged into
-        # it; np.add.at adds in record order, so every row sums in that order.
+        # it; np.add.at adds in merge order, so every row sums in that order.
         slots = np.searchsorted(survivors, kept)
         acc = data.astype(np.float64)
         np.add.at(acc, slots, grid.data[removed].astype(np.float64))
@@ -146,7 +161,10 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
     return TtmResult(
         token_ids=[TokenId(*divmod(r, n_v)) for r in survivors.tolist()],
         data=data,
-        records=records,
         retained_ratio=len(survivors) / grid.total_tokens,
         rows=survivors,
+        removed_rows=removed,
+        kept_as_rows=kept,
+        similarities=np.concatenate(similarities),
+        tokens_per_frame=n_v,
     )

@@ -259,7 +259,7 @@ def test_bench_same_strategy_speedup_near_one(tmp_path):
     code = run_cli(
         "bench", "--model", "custom", "--d", "64", "--m", "128", "--layers", "2",
         "--heads", "4", "--frames", "8", "--tokens-per-frame", "32",
-        "--steps", "10", "--warmup", "3", "--strategies", "none,none",
+        "--steps", "200", "--warmup", "3", "--strategies", "none,none",
         "--report", str(out),
     )
     assert code == 0

@@ -1,10 +1,14 @@
-"""The benchmark's probes wrap dycoke functions by name; they must still resolve."""
+"""The benchmark reaches dycoke by name: its probes must still resolve, and
+one tiny pass of each workload must run and keep stage 1's survivors."""
 
 import importlib
 import sys
 from pathlib import Path
 
-from dycoke import attention, dynkv  # importing the package loads every module
+import numpy as np
+import pytest
+
+from dycoke import attention, dynkv, simulate, ttm  # importing the package loads every module
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +38,29 @@ def test_probe_wrappers_install_and_undo(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is fn for key, fn in before.items())
+
+
+@pytest.mark.parametrize("name", ["prefill_video", "decode_long"])
+def test_workload_tiny_pass_keeps_stage1_survivors(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        checks = importlib.import_module("checks")
+        results = []
+
+        def spy(grid, config, apply_ttm=ttm.apply_ttm):
+            results.append(apply_ttm(grid, config))
+            return results[-1]
+
+        monkeypatch.setattr(ttm, "apply_ttm", spy)
+        monkeypatch.setattr(simulate, "apply_ttm", spy)
+        w = workloads.WORKLOADS[name](0, tiny=True)
+        w.setup(str(tmp_path))
+        out = w.run_pass()
+    finally:
+        sys.modules.pop("workloads", None)
+        sys.modules.pop("checks", None)
+    assert len(results) == 1 and out.decoded
+    expect = checks.stage1_survivors(w.grid.data, w.frames, w.tpf, w.config.k_rate, w.config.window_len)
+    np.testing.assert_array_equal(checks.encode(results[0].token_ids, w.tpf), expect)
+    assert results[0].retained_count == len(expect)

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from dycoke import attention, dynkv, simulate
+from dycoke import attention, dynkv, simulate, ttm
 from dycoke.attention import ModelDims
 from dycoke.simulate import RunSpec, jaccard, run_bench, run_replay, run_simulation, run_sweep
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
@@ -177,6 +177,17 @@ def test_simulate_discrete_outputs_pinned(strategy):
     assert _audit_digest(res.audit) == digest
     assert sum(s["readmitted"] for s in res.steps) == readmitted
     assert sum(s["evicted"] for s in res.steps) == evicted
+
+
+def test_report_counts_merges_without_building_records(monkeypatch):
+    def no_records(*args):
+        raise AssertionError("MergeRecord built")
+
+    monkeypatch.setattr(ttm, "MergeRecord", no_records)
+    res = run_simulation(small_spec(seed=0))
+    count = res.to_json()["tokens"]["merge_records"]
+    monkeypatch.undo()
+    assert count == len(res.ttm.records) == 30
 
 
 # -- replay ---------------------------------------------------------------------

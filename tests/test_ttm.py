@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dycoke.tokens import CompressionConfig, TokenId, VisualTokenGrid, synth_grid
-from dycoke.ttm import apply_ttm, partition_windows, stage1_survivor_count
+from dycoke.ttm import MergeRecord, apply_ttm, partition_windows, stage1_survivor_count
 
 
 # -- independent brute-force oracle ------------------------------------------
@@ -279,3 +280,89 @@ def test_apply_ttm_outputs_pinned(mode, window, k):
     assert all(type(v) is int for t in res.token_ids for v in t)
     assert all(type(v) is int for r in res.records for v in (*r.removed, *r.kept_as))
     assert all(type(r.similarity) is float for r in res.records)
+
+
+# -- per-pair reference -----------------------------------------------------------
+# apply_ttm written pair by pair: every pair converts and norms both of its
+# frames and appends its records as it goes. The windowed pass must reproduce
+# it bit for bit.
+
+
+def per_pair_ttm(grid: VisualTokenGrid, config: CompressionConfig):
+    n_v = grid.tokens_per_frame
+    quota = math.floor(config.k_rate * n_v + 1e-9)
+    kept_as = np.arange(grid.total_tokens)
+    removed, similarities = [], []
+    for window in partition_windows(grid.frames, config.window_len):
+        for offset in range(1, len(window)):
+            frame = window[offset]
+            ref = window[offset - 1] if offset % 2 == 1 else window[0]
+            if quota == 0:
+                continue
+            a = grid.frame_rows(frame).astype(np.float64)
+            b = grid.frame_rows(ref).astype(np.float64)
+            dots = np.einsum("ij,ij->i", a, b)
+            na = np.linalg.norm(a, axis=1)
+            nb = np.linalg.norm(b, axis=1)
+            ok = (na >= 1e-12) & (nb >= 1e-12)
+            sims = np.zeros(n_v, dtype=np.float64)
+            np.divide(dots, na * nb, out=sims, where=ok)
+            sims = np.clip(sims, -1.0, 1.0)
+            take = np.lexsort((np.arange(n_v), -sims))[:quota]
+            kept_as[frame * n_v + take] = ref * n_v + take
+            removed.extend((frame * n_v + take).tolist())
+            similarities.extend(sims[take].tolist())
+    kept_as = kept_as[kept_as]
+    survivors = np.flatnonzero(kept_as == np.arange(grid.total_tokens))
+    kept = kept_as[removed]
+    records = [
+        MergeRecord(TokenId(*divmod(r, n_v)), TokenId(*divmod(k, n_v)), sim)
+        for r, k, sim in zip(removed, kept.tolist(), similarities)
+    ]
+    data = grid.data[survivors]
+    if config.merge_mode == "mean":
+        slots = np.searchsorted(survivors, kept)
+        acc = data.astype(np.float64)
+        np.add.at(acc, slots, grid.data[removed].astype(np.float64))
+        counts = 1 + np.bincount(slots, minlength=len(survivors))
+        data = (acc / counts[:, None]).astype(np.float32)
+    token_ids = [TokenId(*divmod(r, n_v)) for r in survivors.tolist()]
+    return token_ids, survivors, data, records, len(survivors) / grid.total_tokens
+
+
+@st.composite
+def ttm_cases(draw):
+    window = draw(st.sampled_from([2, 4, 6]))
+    frames = draw(st.integers(1, 14))
+    tpf = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        data = rng.standard_normal((frames * tpf, dim))
+    else:  # small integers: exact similarity ties and zero-norm rows
+        data = rng.integers(-1, 2, (frames * tpf, dim)).astype(np.float64)
+    zero = draw(st.lists(st.integers(0, frames * tpf - 1), max_size=4))
+    data[zero] = 0.0
+    k = draw(st.one_of(st.sampled_from([0.0, 0.9, 0.99, 1.0]), st.floats(0.0, 1.0)))
+    mode = draw(st.sampled_from(["drop", "mean"]))
+    grid = VisualTokenGrid(frames, tpf, dim, data.astype(np.float32))
+    return grid, CompressionConfig(k_rate=k, window_len=window, merge_mode=mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ttm_cases())
+@example((_pin_grid(), CompressionConfig(k_rate=0.7, window_len=6, merge_mode="mean")))
+@example((synth_grid(CompressionConfig(), 7, 5, 4), CompressionConfig(k_rate=0.0, window_len=4)))
+def test_apply_ttm_matches_per_pair_reference(case):
+    grid, config = case
+    token_ids, rows, data, records, ratio = per_pair_ttm(grid, config)
+    res = apply_ttm(grid, config)
+    assert res.token_ids == token_ids
+    np.testing.assert_array_equal(res.rows, rows)
+    assert res.data.dtype == data.dtype and res.data.tobytes() == data.tobytes()
+    got = res.records
+    assert got == records
+    assert [tuple(map(type, (*r.removed, *r.kept_as, r.similarity))) for r in got] == [
+        (int, int, int, int, float)
+    ] * len(records)
+    assert np.float64(res.retained_ratio).tobytes() == np.float64(ratio).tobytes()
