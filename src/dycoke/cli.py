@@ -54,7 +54,7 @@ def _add_model_flags(p: argparse.ArgumentParser, layers_default: int = 6) -> Non
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--scale", choices=("head", "full"), default="head",
                    help="softmax scaling: sqrt(head_dim) or sqrt(hidden)")
-    p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
+    p.add_argument("--dtype", choices=simulate.DTYPES, default="float64")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text-tokens", type=int, default=4)
     p.add_argument("--steps", type=int, default=12)
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--dtype", choices=("float32", "float64"), default="float32")
+    p.add_argument("--dtype", choices=simulate.DTYPES, default="float32")
     p.add_argument("--strategies", default="none,dycoke")
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_bench)

@@ -95,11 +95,10 @@ def phase_flops(
 def retained_ratio(config: CompressionConfig) -> tuple[float, float]:
     """Idealized (stage-1, final) retained fractions.
 
-    Full windows prune 3 of 4 frames at k_rate, so stage 1 keeps
-    1 - 0.75*k_rate; stage 2 then keeps (1 - p_rate) of that.
+    Full windows of w frames prune w - 1 of them at k_rate, so stage 1 keeps
+    1 - (w-1)/w * k_rate; stage 2 then keeps (1 - p_rate) of that.
     """
-    config.validate()
-    stage1 = 1.0 - 0.75 * config.k_rate
+    stage1 = 1.0 - (config.window_len - 1) / config.window_len * config.k_rate
     return stage1, stage1 * (1.0 - config.p_rate)
 
 

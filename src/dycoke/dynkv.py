@@ -345,8 +345,6 @@ def one_shot_prune(
 def random_prune(cache: DualCache, config: CompressionConfig) -> RetentionDecision:
     """Ablation baseline: keep a uniform random quota-size subset drawn from ``config.seed``."""
     quota = retention_quota(cache.survivor_count, config.p_rate)
-    if quota > cache.survivor_count:
-        raise QuotaExceedsPopulation(f"quota {quota} > population {cache.survivor_count}")
     cache.quota = quota
     rng = np.random.default_rng([config.seed % 2**32, 300])
     rows = rng.choice(cache.survivor_count, size=quota, replace=False)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import subprocess
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .tokens import CompressionConfig, TextTokens, VisualTokenGrid, synth_grid, 
 from .ttm import TtmResult, apply_ttm
 
 STRATEGIES = ("dycoke", "one_shot", "random", "none")
+DTYPES = ("float32", "float64")
 
 REPORT_SCHEMA = "dycoke-report/1"
 
@@ -67,7 +69,11 @@ def build_stamp() -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything one simulation run needs."""
+    """Everything one simulation run needs; a field out of range raises when built.
+
+    run_simulation checks ``config.eval_layer < dims.layers``, so a sweep base
+    may be shallower than the eval layers its cells set.
+    """
 
     config: CompressionConfig = CompressionConfig()
     dims: ModelDims = ModelDims(layers=6, hidden=64, ffn_inner=128, heads=4)
@@ -83,8 +89,7 @@ class RunSpec:
     dtype: str = "float64"
     timing: bool = False
 
-    def validate(self) -> None:
-        self.config.validate()
+    def __post_init__(self) -> None:
         if self.mode not in ("synthetic", "trace"):
             raise ValueError(f"mode must be 'synthetic' or 'trace', got {self.mode!r}")
         if self.mode == "trace" and not self.trace_path:
@@ -97,20 +102,14 @@ class RunSpec:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.decode_steps < 1:
             raise ValueError(f"decode_steps must be >= 1, got {self.decode_steps}")
-        if self.config.eval_layer >= self.dims.layers:
-            raise ValueError(
-                f"eval_layer {self.config.eval_layer} must be < model layers {self.dims.layers}"
-            )
         if self.text_tokens < 0:
             raise ValueError("text_tokens must be >= 0")
-        if self.dtype not in ("float32", "float64"):
+        if not np.isfinite(self.drift):
+            raise ValueError(f"drift must be finite, got {self.drift}")
+        if self.scale not in ("head", "full"):
+            raise ValueError(f"scale must be 'head' or 'full', got {self.scale!r}")
+        if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-
-    def echo(self) -> dict:
-        out = asdict(self)
-        out["config"] = asdict(self.config)
-        out["dims"] = asdict(self.dims)
-        return out
 
 
 def _decide(
@@ -152,18 +151,13 @@ def _decode(
     steps: int,
     strategy: str,
     config: CompressionConfig,
-) -> tuple[list[dict], list[dynkv.RetentionDecision], list[int], np.ndarray, list[float]]:
+) -> Iterator[tuple[dict, dynkv.RetentionDecision | None, int, np.ndarray, float]]:
     """Closed decode loop: ``steps`` steps, each waiting for the one before it.
 
     The strategy decides at the eval-layer snapshot, inside the step, so the
-    layers above already attend over the new active set. Returns step rows,
-    decisions, tokens, float64 hidden states and decode_step seconds.
+    layers above already attend over the new active set. Yields each step's
+    row, decision (None for ``none``), token, hidden state and seconds.
     """
-    rows: list[dict] = []
-    decisions: list[dynkv.RetentionDecision] = []
-    tokens: list[int] = []
-    seconds: list[float] = []
-    hidden_states = np.empty((steps, decoder.dims.hidden), dtype=np.float64)
     for step in range(steps):
         decided: list = []
 
@@ -172,16 +166,12 @@ def _decode(
 
         t0 = time.perf_counter()
         hidden, _ = decoder.decode_step(emb, cache, step, on_snapshot=on_snapshot)
-        seconds.append(time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
         cache.check_invariants(step)
-        hidden_states[step] = hidden
         token, emb = decoder.select_token(hidden)
-        tokens.append(token)
         decision = decided[0]
-        if decision is not None:
-            decisions.append(decision)
-        rows.append(_step_row(step, decision) | {"active_visual": len(cache.active_rows)})
-    return rows, decisions, tokens, hidden_states, seconds
+        row = _step_row(step, decision) | {"active_visual": len(cache.active_rows)}
+        yield row, decision, token, hidden, seconds
 
 
 @dataclass
@@ -205,7 +195,7 @@ class SimResult:
             "schema": REPORT_SCHEMA,
             "kind": "simulate",
             "build": build_stamp(),
-            "spec": self.spec.echo(),
+            "spec": asdict(self.spec),
             "tokens": {
                 "visual_total": self.total_visual,
                 "stage1_retained": self.ttm.retained_count,
@@ -254,7 +244,10 @@ def _flops_summary(
 
 def run_simulation(spec: RunSpec) -> SimResult:
     """Stage-1 merge, prefill, then ``decode_steps`` strategy-driven steps."""
-    spec.validate()
+    if spec.config.eval_layer >= spec.dims.layers:
+        raise ValueError(
+            f"eval_layer {spec.config.eval_layer} must be < model layers {spec.dims.layers}"
+        )
     grid, text = _load_inputs(spec)
     if grid.hidden_dim != spec.dims.hidden:
         raise ValueError(f"grid dim {grid.hidden_dim} != model hidden {spec.dims.hidden}")
@@ -287,8 +280,8 @@ def run_simulation(spec: RunSpec) -> SimResult:
         reserve_steps=spec.decode_steps + 2,
     )
     token, emb = decoder.select_token(last_hidden)
-    steps, decisions, tokens, hidden_states, per_step_s = _decode(
-        decoder, cache, emb, spec.decode_steps, spec.strategy, spec.config
+    steps, decisions, tokens, hidden_states, per_step_s = zip(
+        *_decode(decoder, cache, emb, spec.decode_steps, spec.strategy, spec.config)
     )
 
     return SimResult(
@@ -299,18 +292,18 @@ def run_simulation(spec: RunSpec) -> SimResult:
         quota=quota,
         retained_ratio_stage1=ttm.retained_ratio,
         retained_ratio_final=quota / grid.total_tokens,
-        decoded_ids=[token] + tokens,
-        steps=steps,
-        audit=[d.to_json() for d in decisions],
+        decoded_ids=[token, *tokens],
+        steps=list(steps),
+        audit=[d.to_json() for d in decisions if d is not None],
         flops=_flops_summary(
             spec.dims, grid.total_tokens, text.count, survivors, quota, spec.decode_steps
         ),
-        hidden_states=hidden_states,
+        hidden_states=np.array(hidden_states, dtype=np.float64),
         timings={
             "ttm_s": ttm_seconds,
             "prefill_s": prefill_seconds,
             "prefill_workers": _prefill_workers(spec.dims.heads),
-            "per_step_s": per_step_s,
+            "per_step_s": list(per_step_s),
             "mean_step_s": float(np.mean(per_step_s)),
             "median_step_s": float(np.median(per_step_s)),
         },
@@ -371,7 +364,6 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     pruning is step 0's prune plus a freeze, so its set stays step 0's
     retained rows.
     """
-    config.validate()
     contents = trace_io.load_trace(trace_path)
     layer = config.eval_layer
     steps_at_layer = sorted(s for (s, l) in contents.attention if l == layer)
@@ -456,10 +448,10 @@ def run_bench(
 
     Caches are filled with seeded synthetic K/V rows of the correct shapes;
     speedup is mean(t_first) / mean(t_second) over the post-warmup steps.
-    Resident cache bytes count every stored K and V row at the decoder dtype's
-    itemsize (4 bytes for float32, 8 for float64).
+    The two strategies alternate step by step, so a slow stretch of the host
+    lands on both. Resident cache bytes count every stored K and V row at the
+    decoder dtype's itemsize (4 bytes for float32, 8 for float64).
     """
-    config.validate()
     if config.eval_layer >= dims.layers:
         raise ValueError(f"eval_layer {config.eval_layer} must be < layers {dims.layers}")
     if steps < 1:
@@ -468,6 +460,8 @@ def run_bench(
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     if text_tokens < 0:
         raise ValueError("text_tokens must be >= 0")
+    if dtype not in DTYPES:
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     if len(strategies) != 2:
         raise ValueError(f"strategies must name exactly two, e.g. none,dycoke; got {len(strategies)}")
     for s in strategies:
@@ -485,9 +479,8 @@ def run_bench(
         dtype=decoder.dtype,
     )
 
-    results: dict = {}
-    means: list[float] = []
-    for slot, strat in enumerate(strategies):
+    caches = []
+    for strat in strategies:
         if strat == "none":
             ids = grid.all_token_ids()
             quota = len(ids)
@@ -501,13 +494,22 @@ def run_bench(
                for _ in range(dims.layers)]
         _fill_layers([(layer, [(k, 1.0), (v, 1.0)]) for layer, (k, v) in enumerate(kvs)],
                      config.seed, 400)
-        cache = dynkv.DualCache(
+        caches.append(dynkv.DualCache(
             kvs, ids, text_tokens, quota, config.eval_layer, reserve_steps=steps + warmup + 2
-        )
-        times = _decode(decoder, cache, emb0, warmup + steps, strat, config)[4]
+        ))
+    loops = [_decode(decoder, cache, emb0, warmup + steps, strat, config)
+             for cache, strat in zip(caches, strategies)]
+    times: list[list[float]] = [[], []]
+    for pair in zip(*loops):  # step i of the first strategy, then of the second
+        for slot, (*_, seconds) in enumerate(pair):
+            times[slot].append(seconds)
+
+    results: dict = {}
+    means: list[float] = []
+    for slot, (strat, cache) in enumerate(zip(strategies, caches)):
         # Visual storage is fixed and extra rows only grow: the last step is the peak.
         resident_rows = sum(st.vis_k.shape[0] + st.extra_len for st in cache.layers)
-        measured = times[warmup:]
+        measured = times[slot][warmup:]
         mean_s = float(np.mean(measured))
         means.append(mean_s)
         results[f"{slot}:{strat}"] = {
@@ -518,7 +520,7 @@ def run_bench(
             "peak_resident_cache_bytes": resident_rows * 2 * dims.hidden * decoder.dtype.itemsize,
             "active_visual_rows_pruned_layers": len(cache.active_rows),
             "visual_rows_total": grid.total_tokens,
-            "stage1_survivors": len(ids),
+            "stage1_survivors": cache.survivor_count,
         }
 
     echo = {

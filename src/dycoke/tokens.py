@@ -100,14 +100,14 @@ class TextTokens:
 
 @dataclass(frozen=True)
 class CompressionConfig:
-    """Compression hyperparameters.
+    """Compression hyperparameters; a value out of range raises when built or replaced.
 
-    k_rate     stage-1 pruning rate, applied per prunable frame of each window
-    eval_layer layer whose attention scores drive stage-2 decisions
-    p_rate     stage-2 pruning rate (retain ceil((1 - p_rate) * survivors))
-    window_len sliding-window length in frames, must be even
-    heads      echoed in reports only; no stage reads it (the decoder takes
-               ModelDims.heads). Removing it changes report bytes, so it
+    k_rate     stage-1 pruning rate in [0, 1], applied per prunable frame of each window
+    eval_layer layer (>= 0) whose attention scores drive stage-2 decisions
+    p_rate     stage-2 pruning rate in [0, 1] (retain ceil((1 - p_rate) * survivors))
+    window_len sliding-window length in frames, even and >= 2
+    heads      >= 1, echoed in reports only; no stage reads it (the decoder
+               takes ModelDims.heads). Removing it changes report bytes, so it
                waits for a change that re-pins the outputs anyway
     seed       drives synthetic data, weights, and the random baseline
     merge_mode 'drop' discards the redundant token; 'mean' folds it into the
@@ -122,7 +122,7 @@ class CompressionConfig:
     seed: int = 0
     merge_mode: str = "drop"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.k_rate <= 1.0:
             raise ValueError(f"k_rate must be in [0, 1], got {self.k_rate}")
         if not 0.0 <= self.p_rate <= 1.0:

@@ -109,7 +109,6 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
     into the window's first frame), the record is redirected to the final
     survivor so every kept_as survives in the output.
     """
-    config.validate()
     n_v = grid.tokens_per_frame
     quota = per_frame_quota(config.k_rate, n_v)
     # Grid row each token stands in for: itself while kept, else its counterpart.

@@ -162,6 +162,19 @@ def test_sweep_removed_flags_exit_2(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag", [["--window", "3"], ["-R", "0"], ["--frames", "0"]], ids=["window", "steps", "frames"]
+)
+def test_sweep_bad_base_flag_exits_2_before_any_cell(flag, tmp_path, capsys):
+    # A bad non-grid flag is wrong for every cell, so it stops the sweep
+    # before any cell runs instead of writing one error row per cell.
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--L-grid", "2", *flag, "--out", str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_exits_2(jobs, tmp_path, capsys):
     # --jobs is gone, so a non-positive value is refused as an unknown argument.
@@ -410,7 +423,7 @@ def _cli_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    command=st.sampled_from(["simulate", "bench", "cost"]),
+    command=st.sampled_from(["simulate", "sweep", "bench", "cost"]),
     a=_cli_inputs(),
     strategies=st.tuples(st.sampled_from(STRATEGIES), st.sampled_from(STRATEGIES)),
     merge=st.sampled_from(["drop", "mean"]),
@@ -418,12 +431,19 @@ def _cli_inputs(draw):
 )
 def test_cli_exit_code_property(command, a, strategies, merge, dtype):
     # Any tiny input, valid or not, ends in a documented exit code, never a traceback.
-    shape = ["--frames", a["frames"], "--tokens-per-frame", a["tpf"], "--text-tokens", a["text"],
-             "-K", a["K"], "-P", a["P"], "--layers", a["layers"], "--report", os.devnull]
+    inputs = ["--frames", a["frames"], "--tokens-per-frame", a["tpf"],
+              "--text-tokens", a["text"], "--layers", a["layers"]]
+    shape = [*inputs, "-K", a["K"], "-P", a["P"], "--report", os.devnull]
     model = ["-L", a["L"], "--window", a["window"], "--heads", a["heads"], "--dtype", dtype]
     if command == "simulate":
         argv = ["simulate", *shape, *model, "--dim", a["dim"], "--ffn", a["ffn"],
                 "-R", a["steps"], "--strategy", strategies[0], "--merge-mode", merge]
+    elif command == "sweep":
+        # One-cell grids carry the drawn K, L and P.
+        argv = ["sweep", *inputs, "--window", a["window"], "--heads", a["heads"],
+                "--dtype", dtype, "--dim", a["dim"], "--ffn", a["ffn"], "-R", a["steps"],
+                "--strategy", strategies[0], "--merge-mode", merge, "--K-grid", a["K"],
+                "--L-grid", a["L"], "--P-grid", a["P"], "--out", os.devnull]
     elif command == "bench":
         argv = ["bench", "--model", "custom", *shape, *model, "--d", a["dim"], "--m", a["ffn"],
                 "--steps", a["steps"], "--warmup", a["warmup"],

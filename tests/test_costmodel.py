@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dycoke.attention import MODEL_PRESETS, ModelDims
 from dycoke.costmodel import (
@@ -12,6 +13,7 @@ from dycoke.costmodel import (
     total_flops,
 )
 from dycoke.tokens import CompressionConfig
+from dycoke.ttm import stage1_survivor_count
 
 
 def loop_decode_oracle(dims: ModelDims, n: int, r: int) -> int:
@@ -90,6 +92,23 @@ def test_retained_ratio_published_rows():
         stage1, final = retained_ratio(CompressionConfig(k_rate=k, p_rate=p))
         assert stage1 == pytest.approx(1 - 0.75 * k, abs=1e-12)
         assert final == pytest.approx(want, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(
+    window=st.sampled_from([2, 4, 6, 8]),
+    windows=st.integers(1, 5),
+    tokens_per_frame=st.integers(1, 64),
+    data=st.data(),
+)
+def test_retained_ratio_matches_full_windows(window, windows, tokens_per_frame, data):
+    # On full windows with an integral per-frame quota, stage 1 keeps exactly
+    # 1 - (w-1)/w * K of the grid.
+    k = data.draw(st.integers(0, tokens_per_frame)) / tokens_per_frame
+    frames = window * windows
+    kept = stage1_survivor_count(frames, tokens_per_frame, k, window)
+    stage1, _ = retained_ratio(CompressionConfig(k_rate=k, window_len=window))
+    assert stage1 == pytest.approx(kept / (frames * tokens_per_frame), rel=1e-12, abs=1e-12)
 
 
 def test_flops_ratio_published_rows():

@@ -134,9 +134,8 @@ def test_top_quota_matches_stable_sort_on_ties_zeros_and_nan(levels, data):
 
 
 def test_quota_exceeds_population():
-    cache = make_cache(4)
     with pytest.raises(QuotaExceedsPopulation):
-        initial_prune(snap(0, [0.1] * 4, cache), cache, CompressionConfig(p_rate=-0.5))
+        _top_quota(np.full(4, 0.1), 5)
 
 
 # -- dynamic swap -----------------------------------------------------------

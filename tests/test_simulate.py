@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dycoke import attention, dynkv, simulate, ttm
 from dycoke.attention import ModelDims
+from dycoke.cli import main
 from dycoke.simulate import RunSpec, jaccard, run_bench, run_replay, run_simulation, run_sweep
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
 from dycoke.trace import MissingAttentionBlock, write_trace
@@ -121,14 +123,21 @@ def test_trace_mode_matches_synthetic(tmp_path):
 
 
 def test_spec_validation_errors():
+    # A spec checks each of its fields when built.
+    for bad in ({"k_rate": 1.5}, {"strategy": "magic"}, {"frames": 0}, {"tokens_per_frame": 0},
+                {"decode_steps": 0}, {"text_tokens": -1}, {"mode": "video"},
+                {"trace_path": "x.dyck"}, {"drift": float("nan")}, {"scale": "sqrt"}):
+        with pytest.raises(ValueError):
+            small_spec(**bad)
     with pytest.raises(ValueError):
-        run_simulation(small_spec(k_rate=1.5))
-    with pytest.raises(ValueError):
-        run_simulation(small_spec(eval_layer=7))  # >= layer count
-    with pytest.raises(ValueError):
-        run_simulation(small_spec(strategy="magic"))
-    with pytest.raises(ValueError):
-        RunSpec(mode="trace").validate()  # no trace path
+        RunSpec(mode="trace")  # no trace path
+    # Whether the eval layer fits the model depth is the run's check, so a
+    # sweep base can be shallower than the eval layers its cells set.
+    deep = small_spec(eval_layer=7)  # >= layer count
+    with pytest.raises(ValueError, match="must be < model layers"):
+        run_simulation(deep)
+    rows = run_sweep(replace(deep, decode_steps=1), [0.5], [0, 7], [0.7])
+    assert [r["status"] for r in rows] == ["ok", "error: eval_layer 7 must be < model layers 5"]
 
 
 def test_flops_summary_consistency():
@@ -375,3 +384,39 @@ def test_jaccard_helper():
     assert jaccard([1], [2]) == 0.0
     assert jaccard([], []) == 1.0
     assert jaccard([1, 2, 3], [2, 3, 4]) == 0.5
+
+
+def test_bench_alternates_strategies_step_by_step(monkeypatch):
+    # Step i of the first strategy, then step i of the second, so a slow
+    # stretch of the host cannot land on one strategy only.
+    calls = []
+    decode_step = attention.ToyDecoder.decode_step
+
+    def recorded(decoder, embedding, cache, *args, **kwargs):
+        calls.append(cache)
+        return decode_step(decoder, embedding, cache, *args, **kwargs)
+
+    monkeypatch.setattr(attention.ToyDecoder, "decode_step", recorded)
+    dims = ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4)
+    config = CompressionConfig(k_rate=0.5, eval_layer=0, p_rate=0.7, heads=4)
+    run_bench(dims, config, 4, 8, steps=3, warmup=1)
+    first, second = calls[0], calls[1]
+    assert first is not second
+    assert all(a is b for a, b in zip(calls, [first, second] * 4, strict=True))
+
+
+@pytest.mark.parametrize("dtype", ["float16", "int8", "float"])
+def test_one_dtype_rule(dtype, tmp_path):
+    assert simulate.DTYPES == ("float32", "float64")
+    with pytest.raises(ValueError, match="dtype"):
+        small_spec(dtype=dtype)
+    dims = ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4)
+    config = CompressionConfig(k_rate=0.5, eval_layer=0, p_rate=0.7, heads=4)
+    with pytest.raises(ValueError, match="dtype"):
+        run_bench(dims, config, 4, 8, steps=1, warmup=0, dtype=dtype)
+    for command in ("simulate", "bench", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dtype", dtype, "--report" if command != "sweep" else "--out",
+                  str(tmp_path / "out")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,16 +111,19 @@ def test_text_tokens():
 
 
 def test_config_validation():
-    CompressionConfig().validate()
-    with pytest.raises(ValueError):
-        CompressionConfig(k_rate=1.5).validate()
-    with pytest.raises(ValueError):
-        CompressionConfig(p_rate=-0.1).validate()
-    with pytest.raises(ValueError):
-        CompressionConfig(window_len=3).validate()  # odd/even split undefined
-    with pytest.raises(ValueError):
-        CompressionConfig(window_len=0).validate()
-    with pytest.raises(ValueError):
-        CompressionConfig(eval_layer=-1).validate()
-    with pytest.raises(ValueError):
-        CompressionConfig(merge_mode="average").validate()
+    good = CompressionConfig()
+    for bad in (
+        {"k_rate": 1.5},
+        {"k_rate": float("nan")},
+        {"p_rate": -0.1},
+        {"p_rate": float("nan")},
+        {"window_len": 3},  # odd/even split undefined
+        {"window_len": 0},
+        {"eval_layer": -1},
+        {"heads": 0},
+        {"merge_mode": "average"},
+    ):
+        with pytest.raises(ValueError):
+            CompressionConfig(**bad)
+        with pytest.raises(ValueError):
+            replace(good, **bad)
