@@ -31,7 +31,6 @@ from .dynkv import (
     DualCache,
     InvariantViolation,
     MissingParkedRow,
-    QuotaExceedsPopulation,
     RetentionDecision,
     dynamic_swap,
     initial_prune,

@@ -9,6 +9,7 @@ residual streams, no normalization, no training. Everything is derived from
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -229,7 +230,7 @@ def _run_blocks(fn: Callable[[int, int], None], n: int, parts: int) -> None:
     There are ``parts`` blocks, clamped to [1, n]. The calling thread runs
     the first block and a pool made for this call one thread for each other
     block; the pool is shut down before the call returns, so no thread
-    outlives it.
+    outlives it. Threads run in copies of the caller's context: numpy's error state holds.
     """
     parts = max(1, min(parts, n))
     if parts == 1:
@@ -237,7 +238,8 @@ def _run_blocks(fn: Callable[[int, int], None], n: int, parts: int) -> None:
     bounds = [b * n // parts for b in range(parts + 1)]
     blocks = list(zip(bounds, bounds[1:]))
     with ThreadPoolExecutor(max_workers=parts - 1) as pool:
-        rest = [pool.submit(fn, lo, hi) for lo, hi in blocks[1:]]
+        rest = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+                for lo, hi in blocks[1:]]
         fn(*blocks[0])
         for future in rest:
             future.result()

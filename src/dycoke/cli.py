@@ -1,7 +1,8 @@
 """Command-line harness: simulate | sweep | replay | cost | bench.
 
 Exit codes: 0 success, 2 config/usage error (a shape too large to
-allocate included), 3 invariant violation.
+allocate, or inputs that overflow the decoder's dtype, included), 3
+invariant violation.
 Reports are JSON (CSV for sweeps); identical specs produce byte-identical
 reports unless timing output is requested, and sweep CSVs apart from their
 timed mean_step_latency_ms column.
@@ -10,6 +11,7 @@ timed mean_step_latency_ms column.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -135,14 +137,8 @@ def cmd_simulate(args) -> int:
     _emit(result.to_json(), args.report)
     if args.audit_log:
         _write_jsonl(result.audit, args.audit_log)
-    if args.merge_log:
-        _write_jsonl(
-            [
-                {"removed": list(r.removed), "kept_as": list(r.kept_as), "similarity": r.similarity}
-                for r in result.ttm.records
-            ],
-            args.merge_log,
-        )
+    if args.merge_log:  # a record's TokenIds are tuples, so they dump as [frame, position]
+        _write_jsonl([r._asdict() for r in result.ttm.records], args.merge_log)
     return 0
 
 
@@ -153,14 +149,11 @@ def cmd_sweep(args) -> int:
               ("--P-grid", args.P_grid, float))]
     rows = simulate.run_sweep(base, *grids)
     if args.format == "csv":
-        out = sys.stdout if not args.out else open(args.out, "w", newline="")
-        try:
-            writer = csv.DictWriter(out, fieldnames=simulate.SWEEP_COLUMNS)
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+        with out as fh:
+            writer = csv.DictWriter(fh, fieldnames=simulate.SWEEP_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
-        finally:
-            if args.out:
-                out.close()
     else:
         _emit({"schema": simulate.REPORT_SCHEMA, "kind": "sweep", "rows": rows}, args.out)
     return 0
@@ -185,12 +178,12 @@ def cmd_replay(args) -> int:
 def cmd_cost(args) -> int:
     dims = _model_dims(args, heads=None, custom_heads=1)
     config = CompressionConfig(k_rate=args.k_rate, p_rate=args.p_rate)
+    if args.frames < 1 or args.tokens_per_frame < 1:
+        raise ValueError("frames and tokens_per_frame must be >= 1")
     n_visual = args.frames * args.tokens_per_frame
     report = costmodel.compression_report(
         config, dims, n_visual, n_text=args.text_tokens, decode_steps=args.steps
     )
-    if args.frames < 1 or args.tokens_per_frame < 1:
-        raise ValueError("frames and tokens_per_frame must be >= 1")
     full_pre, full_dec = report.full
     _emit(
         {
@@ -198,11 +191,7 @@ def cmd_cost(args) -> int:
             "kind": "cost",
             "build": simulate.build_stamp(),
             "model": args.model,
-            "dims": {
-                "layers": dims.layers,
-                "hidden": dims.hidden,
-                "ffn_inner": dims.ffn_inner,
-            },
+            "dims": {name: getattr(dims, name) for name in ("layers", "hidden", "ffn_inner")},
             "frames": args.frames,
             "tokens_per_frame": args.tokens_per_frame,
             "n_visual": n_visual,
@@ -342,6 +331,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, trace_io.TraceError, trace_io.MissingAttentionBlock) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"error: {exc}: the inputs are too large for --dtype", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -25,10 +25,6 @@ from .attention import AttentionSnapshot
 from .tokens import CompressionConfig, TokenId
 
 
-class QuotaExceedsPopulation(ValueError):
-    pass
-
-
 class MissingParkedRow(RuntimeError):
     """Survivor rows out of range, not strictly increasing, or moving a frozen cache."""
 
@@ -266,10 +262,9 @@ def _top_quota(scores: np.ndarray, quota: int) -> tuple[np.ndarray, float | None
 
     Equals the first ``quota`` rows of a stable descending sort, threshold
     included: a partition finds the quota-th score, every row above it is
-    kept, and the lowest rows tied with it fill the rest.
+    kept, and the lowest rows tied with it fill the rest. ``quota`` is at
+    most ``len(scores)``: every caller's quota is a share of the rows it ranks.
     """
-    if quota > len(scores):
-        raise QuotaExceedsPopulation(f"quota {quota} > population {len(scores)}")
     if quota == 0:
         return np.empty(0, dtype=np.intp), None
     neg = -np.asarray(scores, dtype=np.float64)

@@ -71,7 +71,7 @@ def build_stamp() -> str:
 class RunSpec:
     """Everything one simulation run needs; a field out of range raises when built.
 
-    run_simulation checks ``config.eval_layer < dims.layers``, so a sweep base
+    Each run checks ``config.eval_layer < dims.layers``, so a sweep base
     may be shallower than the eval layers its cells set.
     """
 
@@ -218,12 +218,24 @@ class SimResult:
 
 
 def _load_inputs(spec: RunSpec) -> tuple[VisualTokenGrid, TextTokens]:
+    """The run's grid and text, read or synthesized, as wide as its model; K, L and P unused."""
     if spec.mode == "trace":
         contents = trace_io.load_trace(spec.trace_path)
-        return contents.grid, contents.text
-    grid = synth_grid(spec.config, spec.frames, spec.tokens_per_frame, spec.dims.hidden, spec.drift)
-    text = synth_text(spec.config, spec.text_tokens, spec.dims.hidden)
+        grid, text = contents.grid, contents.text
+    else:
+        grid = synth_grid(spec.config, spec.frames, spec.tokens_per_frame, spec.dims.hidden,
+                          spec.drift)
+        text = synth_text(spec.config, spec.text_tokens, spec.dims.hidden)
+    if grid.hidden_dim != spec.dims.hidden:
+        raise ValueError(f"grid dim {grid.hidden_dim} != model hidden {spec.dims.hidden}")
+    if text.count and text.hidden_dim != spec.dims.hidden:
+        raise ValueError(f"text dim {text.hidden_dim} != model hidden {spec.dims.hidden}")
     return grid, text
+
+
+def _check_eval_depth(config: CompressionConfig, dims: ModelDims) -> None:
+    if config.eval_layer >= dims.layers:
+        raise ValueError(f"eval_layer {config.eval_layer} must be < model layers {dims.layers}")
 
 
 def _flops_summary(
@@ -243,17 +255,14 @@ def _flops_summary(
 
 
 def run_simulation(spec: RunSpec) -> SimResult:
-    """Stage-1 merge, prefill, then ``decode_steps`` strategy-driven steps."""
-    if spec.config.eval_layer >= spec.dims.layers:
-        raise ValueError(
-            f"eval_layer {spec.config.eval_layer} must be < model layers {spec.dims.layers}"
-        )
-    grid, text = _load_inputs(spec)
-    if grid.hidden_dim != spec.dims.hidden:
-        raise ValueError(f"grid dim {grid.hidden_dim} != model hidden {spec.dims.hidden}")
-    if text.count and text.hidden_dim != spec.dims.hidden:
-        raise ValueError(f"text dim {text.hidden_dim} != model hidden {spec.dims.hidden}")
+    """Load the spec's inputs, then stage-1 merge, prefill and ``decode_steps`` steps."""
+    return _simulate(spec, *_load_inputs(spec))
 
+
+@np.errstate(over="raise", invalid="raise")
+def _simulate(spec: RunSpec, grid: VisualTokenGrid, text: TextTokens) -> SimResult:
+    """run_simulation on loaded inputs; inputs too large for the dtype raise, not report NaN."""
+    _check_eval_depth(spec.config, spec.dims)
     t0 = time.perf_counter()
     ttm = apply_ttm(grid, spec.config)
     ttm_seconds = time.perf_counter() - t0
@@ -452,21 +461,14 @@ def run_bench(
     lands on both. Resident cache bytes count every stored K and V row at the
     decoder dtype's itemsize (4 bytes for float32, 8 for float64).
     """
-    if config.eval_layer >= dims.layers:
-        raise ValueError(f"eval_layer {config.eval_layer} must be < layers {dims.layers}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if text_tokens < 0:
-        raise ValueError("text_tokens must be >= 0")
-    if dtype not in DTYPES:
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     if len(strategies) != 2:
         raise ValueError(f"strategies must name exactly two, e.g. none,dycoke; got {len(strategies)}")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    for strat in strategies:  # each strategy's run must be one simulate would accept
+        RunSpec(config=config, dims=dims, frames=frames, tokens_per_frame=tokens_per_frame,
+                text_tokens=text_tokens, decode_steps=steps, strategy=strat, dtype=dtype)
+    _check_eval_depth(config, dims)
 
     grid = synth_grid(config, frames, tokens_per_frame, dims.hidden)
     t0 = time.perf_counter()
@@ -545,11 +547,11 @@ def run_bench(
 # -- sweep ----------------------------------------------------------------------
 
 
-def _sweep_cell(base: RunSpec, k: float, l: int, p: float) -> dict:
+def _sweep_cell(base: RunSpec, inputs: tuple, k: float, l: int, p: float) -> dict:
     row = dict.fromkeys(SWEEP_COLUMNS, "") | {"K": k, "L": l, "P": p, "status": "ok"}
     try:
         spec = replace(base, config=replace(base.config, k_rate=k, eval_layer=l, p_rate=p))
-        result = run_simulation(spec)
+        result = _simulate(spec, *inputs)
         churn = [s["readmitted"] + s["evicted"] for s in result.steps]
         row.update(
             {
@@ -568,5 +570,10 @@ def _sweep_cell(base: RunSpec, k: float, l: int, p: float) -> dict:
 def run_sweep(
     base: RunSpec, k_values: list[float], l_values: list[int], p_values: list[float]
 ) -> list[dict]:
-    """Cross-product sweep over (K, L, P); one row per cell, run in grid order in this process."""
-    return [_sweep_cell(base, k, l, p) for k in k_values for l in l_values for p in p_values]
+    """Cross-product sweep over (K, L, P); one row per cell, run in grid order in this process.
+
+    The inputs are loaded once, before any cell, so an input error stops the sweep.
+    """
+    inputs = _load_inputs(base)
+    cells = [(k, l, p) for k in k_values for l in l_values for p in p_values]
+    return [_sweep_cell(base, inputs, *cell) for cell in cells]

@@ -149,7 +149,7 @@ def synth_grid(
     Frame 0 is drawn from a seeded unit normal; each later frame is the
     previous frame plus a ``drift``-scaled perturbation, so adjacent frames
     stay highly cosine-similar. Same (config.seed, shape, drift) gives a
-    bit-identical grid.
+    bit-identical grid. A drift whose walk leaves float32's range raises.
     """
     if frames < 1 or tokens_per_frame < 1 or dim < 1:
         raise ValueError("frames, tokens_per_frame and dim must all be >= 1")
@@ -157,9 +157,13 @@ def synth_grid(
     rows = np.empty((frames * tokens_per_frame, dim), dtype=np.float64)
     frame = rng.standard_normal((tokens_per_frame, dim))
     rows[:tokens_per_frame] = frame
-    for f in range(1, frames):
-        frame = frame + drift * rng.standard_normal((tokens_per_frame, dim))
-        rows[f * tokens_per_frame : (f + 1) * tokens_per_frame] = frame
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing walk raises below
+        for f in range(1, frames):
+            frame = frame + drift * rng.standard_normal((tokens_per_frame, dim))
+            rows[f * tokens_per_frame : (f + 1) * tokens_per_frame] = frame
+    limit = np.finfo(np.float32).max
+    if not (-limit <= rows.min() and rows.max() <= limit):  # NaN fails both
+        raise ValueError(f"drift {drift} overflows float32 over {frames} frames")
     return VisualTokenGrid(frames, tokens_per_frame, dim, rows.astype(np.float32))
 
 

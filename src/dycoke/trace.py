@@ -125,6 +125,14 @@ def write_trace(
             fh.write(row.tobytes())
 
 
+def _check_finite(values: np.ndarray, offset: int, what: str) -> None:
+    """Raise NonFiniteValue at the byte of the first non-finite float32 of ``values``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise NonFiniteValue(f"{what} contains a non-finite float", offset + 4 * bad)
+
+
 def load_trace(path) -> TraceContents:
     """Read a trace file, validating structure and finiteness.
 
@@ -160,10 +168,7 @@ def load_trace(path) -> TraceContents:
             f"payload needs {payload_bytes} bytes, file ends early", len(raw)
         )
     payload = np.frombuffer(raw, dtype="<f4", count=payload_floats, offset=offset)
-    finite = np.isfinite(payload)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteValue("payload contains a non-finite float", offset + 4 * bad)
+    _check_finite(payload, offset, "payload")
 
     visual = payload[: n_visual * hidden_dim].reshape(n_visual, hidden_dim)
     text_rows = payload[n_visual * hidden_dim :].reshape(n_text, hidden_dim)
@@ -189,13 +194,7 @@ def load_trace(path) -> TraceContents:
                 f"attention block ({step},{layer}) needs {4 * count} bytes", len(raw)
             )
         row = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        finite = np.isfinite(row)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
-            raise NonFiniteValue(
-                f"attention block ({step},{layer}) contains a non-finite float",
-                offset + 4 * bad,
-            )
+        _check_finite(row, offset, f"attention block ({step},{layer})")
         attention[(step, layer)] = row.copy()
         offset += 4 * count
     if offset != len(raw):

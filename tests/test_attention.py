@@ -688,6 +688,16 @@ def test_no_thread_left_after_decoder_or_prefill(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_run_blocks_workers_keep_the_callers_error_state():
+    # An overflow in a worker's block raises as it would on the calling thread.
+    def fn(lo, hi):
+        if lo > 0:  # only the worker threads' blocks overflow
+            np.float32(1e38) * np.float32(1e38)
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        attention._run_blocks(fn, 4, 2)
+
+
 def test_project_qkv_once_per_layer_on_calling_thread(monkeypatch):
     force_workers(monkeypatch, 2)
     calls = []

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 
@@ -175,6 +177,21 @@ def test_sweep_bad_base_flag_exits_2_before_any_cell(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_bad_input_exits_2_before_any_cell(tmp_path, capsys):
+    # The grid and text are every cell's, so a drift that overflows float32
+    # or a trace narrower than --dim stops the sweep before any cell runs.
+    path = tmp_path / "narrow.dyck"
+    write_trace(path, synth_grid(CompressionConfig(), 2, 4, 8), TextTokens.empty(8))
+    out = tmp_path / "sweep.csv"
+    for flags, message in ((["--drift", "1e39"], "error: drift 1e+39 overflows float32"),
+                           (["--trace", str(path), "--dim", "16"],
+                            "error: grid dim 8 != model hidden 16")):
+        assert run_cli("sweep", "--L-grid", "2", "-R", "1", *flags, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_jobs_below_one_exits_2(jobs, tmp_path, capsys):
     # --jobs is gone, so a non-positive value is refused as an unknown argument.
@@ -345,10 +362,12 @@ def test_custom_zero_dims_reach_dims_check(argv, capsys):
     "extra, message",
     [
         (["--text-tokens", "-5"], "token counts must be >= 0"),
-        (["--frames", "-1", "--text-tokens", "500"], "token counts must be >= 0"),
+        (["--frames", "-1", "--text-tokens", "500"], "frames and tokens_per_frame must be >= 1"),
         (["--frames", "0"], "frames and tokens_per_frame must be >= 1"),
         (["--tokens-per-frame", "0"], "frames and tokens_per_frame must be >= 1"),
         (["--frames", "-2", "--tokens-per-frame", "-196"],
+         "frames and tokens_per_frame must be >= 1"),
+        (["--frames", "-2", "--tokens-per-frame", "3"],
          "frames and tokens_per_frame must be >= 1"),
     ],
 )
@@ -385,10 +404,10 @@ def test_sweep_invariant_violation_exits_3(monkeypatch, tmp_path, capsys):
     from dycoke import simulate
     from dycoke.dynkv import InvariantViolation
 
-    def boom(spec):
+    def boom(spec, grid, text):
         raise InvariantViolation("forced", {"step": 0})
 
-    monkeypatch.setattr(simulate, "run_simulation", boom)
+    monkeypatch.setattr(simulate, "_simulate", boom)
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--L-grid", "2", "-R", "1", "--out", str(out)) == 3
     assert "invariant violation: forced" in capsys.readouterr().err
@@ -418,6 +437,9 @@ def _cli_inputs(draw):
     }
     for name in draw(st.sets(st.sampled_from(sorted(args)), max_size=2)):
         args[name] = draw(st.sampled_from(_OUT_OF_RANGE[name]))
+    # Any finite drift is a valid flag; one whose walk or model overflows is a
+    # data error. Powers of ten reach every magnitude the float draw skips.
+    args["drift"] = draw(st.floats(-1e300, 1e300) | st.integers(-3, 300).map(lambda e: 10.0**e))
     return {name: str(value) for name, value in args.items()}
 
 
@@ -430,20 +452,22 @@ def _cli_inputs(draw):
     dtype=st.sampled_from(["float32", "float64"]),
 )
 def test_cli_exit_code_property(command, a, strategies, merge, dtype):
-    # Any tiny input, valid or not, ends in a documented exit code, never a traceback.
+    # Any tiny input, valid or not, ends in a documented exit code, never a
+    # traceback, and a usage or data error in exactly one "error:" line.
     inputs = ["--frames", a["frames"], "--tokens-per-frame", a["tpf"],
               "--text-tokens", a["text"], "--layers", a["layers"]]
+    drift = f"--drift={a['drift']}"  # "=" keeps a negative exponent form off the option list
     shape = [*inputs, "-K", a["K"], "-P", a["P"], "--report", os.devnull]
     model = ["-L", a["L"], "--window", a["window"], "--heads", a["heads"], "--dtype", dtype]
     if command == "simulate":
         argv = ["simulate", *shape, *model, "--dim", a["dim"], "--ffn", a["ffn"],
-                "-R", a["steps"], "--strategy", strategies[0], "--merge-mode", merge]
+                "-R", a["steps"], "--strategy", strategies[0], "--merge-mode", merge, drift]
     elif command == "sweep":
         # One-cell grids carry the drawn K, L and P.
         argv = ["sweep", *inputs, "--window", a["window"], "--heads", a["heads"],
                 "--dtype", dtype, "--dim", a["dim"], "--ffn", a["ffn"], "-R", a["steps"],
                 "--strategy", strategies[0], "--merge-mode", merge, "--K-grid", a["K"],
-                "--L-grid", a["L"], "--P-grid", a["P"], "--out", os.devnull]
+                "--L-grid", a["L"], "--P-grid", a["P"], "--out", os.devnull, drift]
     elif command == "bench":
         argv = ["bench", "--model", "custom", *shape, *model, "--d", a["dim"], "--m", a["ffn"],
                 "--steps", a["steps"], "--warmup", a["warmup"],
@@ -451,4 +475,9 @@ def test_cli_exit_code_property(command, a, strategies, merge, dtype):
     else:
         argv = ["cost", "--model", "custom", *shape, "--d", a["dim"], "--m", a["ffn"],
                 "-R", a["steps"]]
-    assert main(argv) in (0, 2, 3)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -9,7 +9,6 @@ from dycoke.dynkv import (
     DualCache,
     InvariantViolation,
     MissingParkedRow,
-    QuotaExceedsPopulation,
     _top_quota,
     dynamic_swap,
     initial_prune,
@@ -131,11 +130,6 @@ def test_top_quota_matches_stable_sort_on_ties_zeros_and_nan(levels, data):
     assert got_rows.tolist() == want_rows.tolist()
     assert np.array_equal(got_threshold, want_threshold, equal_nan=True)
     assert np.signbit(got_threshold) == np.signbit(want_threshold)
-
-
-def test_quota_exceeds_population():
-    with pytest.raises(QuotaExceedsPopulation):
-        _top_quota(np.full(4, 0.1), 5)
 
 
 # -- dynamic swap -----------------------------------------------------------

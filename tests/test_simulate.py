@@ -327,17 +327,37 @@ def test_sweep_empty_grid():
 def test_sweep_runs_cells_in_grid_order_in_this_process(monkeypatch):
     # No worker process: every cell runs here, K varying slowest and P fastest.
     ran = []
-    real = simulate.run_simulation
+    real = simulate._simulate
 
-    def recorded(spec):
+    def recorded(spec, grid, text):
         ran.append((os.getpid(), spec.config.k_rate, spec.config.eval_layer, spec.config.p_rate))
-        return real(spec)
+        return real(spec, grid, text)
 
-    monkeypatch.setattr(simulate, "run_simulation", recorded)
+    monkeypatch.setattr(simulate, "_simulate", recorded)
     rows = run_sweep(small_spec(decode_steps=1), [0.3, 0.7], [1, 2], [0.5, 0.7])
     grid = [(k, l, p) for k in (0.3, 0.7) for l in (1, 2) for p in (0.5, 0.7)]
     assert ran == [(os.getpid(), *cell) for cell in grid]
     assert [(r["K"], r["L"], r["P"], r["status"]) for r in rows] == [(*c, "ok") for c in grid]
+
+
+def test_sweep_reads_its_trace_once(monkeypatch, tmp_path):
+    # The grid and text are the same for every cell, so one read serves them all.
+    spec = small_spec(decode_steps=1)
+    path = tmp_path / "in.dyck"
+    write_trace(path, synth_grid(spec.config, spec.frames, spec.tokens_per_frame, 16),
+                TextTokens.empty(16))
+    reads = []
+    real = simulate.trace_io.load_trace
+
+    def recorded(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(simulate.trace_io, "load_trace", recorded)
+    base = replace(spec, mode="trace", trace_path=str(path))
+    rows = run_sweep(base, [0.3, 0.7], [1, 2], [0.5])
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    assert reads == [str(path)]
 
 
 def test_bench_layer_fill_independent_of_threads(monkeypatch):

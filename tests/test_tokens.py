@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -53,6 +54,15 @@ def test_synth_grid_temporal_redundancy():
         np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     )
     assert cos.min() > 0.99
+
+
+@pytest.mark.parametrize("drift", [1e39, -1e39, 1e308])
+def test_synth_grid_rejects_a_drift_that_overflows_float32(drift):
+    # One ValueError naming the drift, raised before the float32 cast could
+    # warn; 1e308 also overflows the float64 walk itself.
+    with pytest.raises(ValueError, match=re.escape(f"drift {drift} overflows float32 over 3")):
+        synth_grid(CompressionConfig(seed=0), 3, 5, 8, drift=drift)
+    assert synth_grid(CompressionConfig(seed=0), 3, 5, 8, drift=1e30).data.max() < 1e32
 
 
 def test_grid_validation():
