@@ -66,25 +66,14 @@ class LayerWeights:
     ffn_out: np.ndarray = field(repr=False)
 
 
-def _layer_draws(dims: ModelDims) -> dict[str, tuple[tuple[int, int], float]]:
-    """Each layer matrix's shape and draw scale, in draw order; scales keep hidden magnitudes O(1)."""
-    d, m = dims.hidden, dims.ffn_inner
-    square = ((d, d), 1.0 / np.sqrt(d))
-    return {
-        "w_q": square,
-        "w_k": square,
-        "w_v": square,
-        "w_o": square,
-        "ffn_in": ((d, m), np.sqrt(2.0 / d)),
-        "ffn_out": ((m, d), 1.0 / np.sqrt(m)),
-    }
-
-
 def _empty_layer(dims: ModelDims, dtype) -> tuple[LayerWeights, list[tuple[np.ndarray, float]]]:
     """One layer's unfilled weights, and each matrix with its draw scale, in draw order."""
-    draws = {name: (np.empty(shape, dtype), scale)
-             for name, (shape, scale) in _layer_draws(dims).items()}
-    return LayerWeights(**{name: out for name, (out, _) in draws.items()}), list(draws.values())
+    d, m = dims.hidden, dims.ffn_inner
+    square = ((d, d), 1.0 / np.sqrt(d))  # the scales keep hidden magnitudes O(1)
+    draws = {"w_q": square, "w_k": square, "w_v": square, "w_o": square,
+             "ffn_in": ((d, m), np.sqrt(2.0 / d)), "ffn_out": ((m, d), 1.0 / np.sqrt(m))}
+    outs = {name: (np.empty(shape, dtype), scale) for name, (shape, scale) in draws.items()}
+    return LayerWeights(**{name: out for name, (out, _) in outs.items()}), list(outs.values())
 
 
 # float64 values per chunk of a draw into a narrower dtype: each chunk is
@@ -422,16 +411,13 @@ def attention_row(
 class AttentionSnapshot:
     """Head-averaged attention of the current query over scoreable visual tokens.
 
-    ``scores`` are the visual columns of one softmax row; ``row_total`` is the
-    full row sum (visual + text + generated), 1.0 up to float error when the
-    snapshot comes from a live decode. Replayed snapshots carry row_total None.
+    ``scores`` are the visual columns of one softmax row.
     """
 
     step: int
     layer: int
     scores: np.ndarray = field(repr=False)
     token_ids: tuple[TokenId, ...] = field(repr=False)
-    row_total: float | None = None
 
 
 # Token vocabulary of the toy decoder's seeded embedding and output projection.
@@ -450,7 +436,6 @@ class ToyDecoder:
         if scale not in ("head", "full"):
             raise ValueError(f"scale must be 'head' or 'full', got {scale!r}")
         self.dims = dims
-        self.seed = seed
         self.scale = scale
         self.dtype = np.dtype(dtype)
         # ``layer_weights`` of every layer, drawn in threads
@@ -532,7 +517,6 @@ class ToyDecoder:
                     layer=layer_idx,
                     scores=avg_row[:n_visual].copy(),
                     token_ids=cache.token_ids,
-                    row_total=float(avg_row.sum()),
                 )
                 if on_snapshot is not None:
                     on_snapshot(snapshot)

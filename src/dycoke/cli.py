@@ -69,14 +69,14 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args) -> CompressionConfig:
-    """The run's config; sweep has no rate flags, so its cells set K, L and P from the grids."""
-    rates = {f: getattr(args, f) for f in ("k_rate", "eval_layer", "p_rate") if f in vars(args)}
+    """The run's config; a field with no flag (sweep's rates, replay's heads) keeps its default."""
+    given = {f: getattr(args, f) for f in ("k_rate", "eval_layer", "p_rate", "heads")
+             if f in vars(args)}
     return CompressionConfig(
         window_len=args.window,
-        heads=args.heads,
         seed=args.seed,
         merge_mode=args.merge_mode,
-        **rates,
+        **given,
     )
 
 
@@ -270,15 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="drive retention from recorded attention rows")
     _add_rate_flags(p)
     _add_compression_flags(p)
-    p.add_argument("--heads", type=int, default=4,
-                   help="echoed in the report's config only; replay runs no attention")
     p.add_argument("--trace", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--audit-log", default=None)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("cost", help="analytic FLOPs and retained-ratio report")
-    p.add_argument("--model", choices=("0.5b", "7b", "72b", "custom"), default="7b")
+    p.add_argument("--model", choices=(*MODEL_PRESETS, "custom"), default="7b")
     p.add_argument("--d", type=int, default=None, help="hidden size (custom model)")
     p.add_argument("--m", type=int, default=None, help="FFN inner size (custom model)")
     p.add_argument("--layers", type=int, default=None,
@@ -293,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("bench", help="decode-step wall-clock comparison")
-    p.add_argument("--model", choices=("0.5b", "7b", "72b", "custom"), default="7b")
+    p.add_argument("--model", choices=(*MODEL_PRESETS, "custom"), default="7b")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--layers", type=int, default=2,

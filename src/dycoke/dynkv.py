@@ -9,8 +9,10 @@ at or below the eval layer always see the full survivor set (they have to
 score parked tokens); the active/parked split applies to layers above it.
 Text and generated rows are always active and never parked.
 
-Rows never change once written: parking and readmission only move
-membership, so a readmitted token carries bit-identical K/V.
+Each layer stores the visual rows it attends, and ``DualCache.apply`` is
+the only place they move. Rows never change once written: parking and
+readmission only move membership, so a readmitted token carries
+bit-identical K/V.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ def retention_quota(survivors: int, p_rate: float) -> int:
     return max(0, math.ceil((1.0 - p_rate) * survivors - 1e-9))
 
 
+def _ids(token_ids: tuple[TokenId, ...], rows: np.ndarray) -> tuple[TokenId, ...]:
+    """The TokenIds of survivor ``rows``, in the order given."""
+    return tuple(map(token_ids.__getitem__, rows.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class RetentionDecision:
     """One step's retained set, its threshold, and the TokenIds that moved.
@@ -60,7 +67,7 @@ class RetentionDecision:
 
     @property
     def retained_ids(self) -> tuple[TokenId, ...]:
-        return tuple(map(self.survivor_ids.__getitem__, self.retained_rows.tolist()))
+        return _ids(self.survivor_ids, self.retained_rows)
 
     def to_json(self) -> dict:
         return {
@@ -75,7 +82,12 @@ class RetentionDecision:
 
 
 class _LayerStore:
-    """One layer's rows: immutable visual storage + growing text/generated rows."""
+    """One layer's rows: immutable visual storage + growing text/generated rows.
+
+    ``active_k``/``active_v`` are the visual rows this layer attends: the
+    full storage at and below the eval layer, a contiguous gather of the
+    active rows above it. ``DualCache.apply`` is the only code that moves them.
+    """
 
     __slots__ = ("vis_k", "vis_v", "extra_k", "extra_v", "extra_len", "active_k", "active_v")
 
@@ -91,7 +103,6 @@ class _LayerStore:
         self.extra_k[:n_text] = text_k
         self.extra_v[:n_text] = text_v
         self.extra_len = n_text
-        # Contiguous view of the active visual rows; starts as full storage.
         self.active_k = self.vis_k
         self.active_v = self.vis_v
 
@@ -107,14 +118,6 @@ class _LayerStore:
         self.extra_v[self.extra_len] = v_row
         self.extra_len += 1
 
-    def rebuild_active(self, rows: np.ndarray) -> None:
-        if rows.shape[0] == self.vis_k.shape[0]:
-            self.active_k = self.vis_k
-            self.active_v = self.vis_v
-        else:
-            self.active_k = self.vis_k[rows]
-            self.active_v = self.vis_v[rows]
-
 
 def _is_survivor_rows(rows: np.ndarray, n_surv: int) -> bool:
     """True if ``rows`` strictly increase inside ``[0, n_surv)``."""
@@ -127,8 +130,8 @@ class DualCache:
 
     The retained set computed at the eval layer applies uniformly to every
     layer above it, so membership is stored once, as the sorted survivor rows
-    ``active_rows``, and each layer keeps a contiguous copy of its active
-    visual rows for fast attention. Row ``i`` is the survivor ``token_ids[i]``.
+    ``active_rows``, and each layer keeps the visual rows it attends. Row
+    ``i`` is the survivor ``token_ids[i]``.
     """
 
     def __init__(
@@ -161,7 +164,7 @@ class DualCache:
         ]
         self.active_rows = np.arange(n_surv)
         self.partitioned = False
-        self.frozen = False
+        self.frozen = False  # one-shot: the parked rows are discarded for good
 
     # -- shape & membership -------------------------------------------------
 
@@ -176,68 +179,57 @@ class DualCache:
     def generated_count(self) -> int:
         return self.layers[0].extra_len - self.n_text
 
-    def ids_of(self, rows: np.ndarray) -> tuple[TokenId, ...]:
-        """The TokenIds of survivor ``rows``, in the order given."""
-        return tuple(map(self.token_ids.__getitem__, rows.tolist()))
-
     def active_ids(self) -> tuple[TokenId, ...]:
-        return self.ids_of(self.active_rows)
+        return _ids(self.token_ids, self.active_rows)
 
     def parked_ids(self) -> tuple[TokenId, ...]:
         if self.frozen:
             return ()
         mask = np.ones(self.survivor_count, dtype=bool)
         mask[self.active_rows] = False
-        return self.ids_of(np.flatnonzero(mask))
+        return _ids(self.token_ids, np.flatnonzero(mask))
 
     # -- per-layer views ------------------------------------------------------
-
-    def _pruned(self, layer: int) -> bool:
-        return layer > self.eval_layer
 
     def segments_for(self, layer: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
         """(K, V) segments for attention at ``layer`` plus the visual column count."""
         store = self.layers[layer]
-        if self._pruned(layer):
-            vis = (store.active_k, store.active_v)
-        else:
-            vis = (store.vis_k, store.vis_v)
         extras = (store.extra_k[: store.extra_len], store.extra_v[: store.extra_len])
-        return [vis, extras], vis[0].shape[0]
+        return [(store.active_k, store.active_v), extras], store.active_k.shape[0]
 
     def append_generated(self, layer: int, k_row, v_row) -> None:
         self.layers[layer].append(k_row, v_row)
 
     def active_keys(self, layer: int) -> np.ndarray:
-        return self.layers[layer].active_k if self._pruned(layer) else self.layers[layer].vis_k
+        return self.layers[layer].active_k
 
     def active_values(self, layer: int) -> np.ndarray:
-        return self.layers[layer].active_v if self._pruned(layer) else self.layers[layer].vis_v
+        return self.layers[layer].active_v
 
     # -- decisions -----------------------------------------------------------
 
-    def apply(self, rows: np.ndarray) -> None:
-        """Make the survivor ``rows`` the active set of every pruned layer.
+    def apply(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Make the survivor ``rows`` the active set of every layer above the eval layer.
 
         Membership arrives as strictly increasing survivor rows inside
-        ``[0, survivor_count)``; rows not named are parked. A frozen cache
-        has discarded its parked rows, so it accepts no change of membership.
+        ``[0, survivor_count)``; rows not named are parked. Returns the
+        sorted (readmitted, evicted) rows. A frozen cache has discarded its
+        parked rows, so it accepts no change of membership.
         """
         rows = np.asarray(rows, dtype=np.intp)
         if not _is_survivor_rows(rows, self.survivor_count):
             raise MissingParkedRow(f"rows must strictly increase in [0, {self.survivor_count})")
-        changed = not np.array_equal(rows, self.active_rows)
-        if self.frozen and changed:
-            raise MissingParkedRow("cache is frozen; parked rows were discarded")
+        readmitted = np.setdiff1d(rows, self.active_rows, assume_unique=True)
+        evicted = np.setdiff1d(self.active_rows, rows, assume_unique=True)
+        if readmitted.size or evicted.size:
+            if self.frozen:
+                raise MissingParkedRow("cache is frozen; parked rows were discarded")
+            for store in self.layers[self.eval_layer + 1 :]:
+                store.active_k = store.vis_k[rows]
+                store.active_v = store.vis_v[rows]
         self.active_rows = rows
         self.partitioned = True
-        if changed:
-            for store in self.layers[self.eval_layer + 1 :]:
-                store.rebuild_active(rows)
-
-    def freeze(self) -> None:
-        """One-shot semantics: the parked side store is discarded for good."""
-        self.frozen = True
+        return readmitted, evicted
 
     def check_invariants(self, step: int) -> None:
         state = {
@@ -282,15 +274,14 @@ def _retain(
     cache: DualCache, step: int, rows: np.ndarray, threshold: float | None
 ) -> RetentionDecision:
     """Make the sorted survivor ``rows`` active; the decision names the rows that moved."""
-    prev = cache.active_rows  # sorted, like rows, so the moved rows come out sorted
-    cache.apply(rows)
+    readmitted, evicted = cache.apply(rows)
     return RetentionDecision(
         step=step,
         retained_rows=cache.active_rows,
         survivor_ids=cache.token_ids,
         threshold=threshold,
-        readmitted=cache.ids_of(np.setdiff1d(rows, prev, assume_unique=True)),
-        evicted=cache.ids_of(np.setdiff1d(prev, rows, assume_unique=True)),
+        readmitted=_ids(cache.token_ids, readmitted),
+        evicted=_ids(cache.token_ids, evicted),
     )
 
 
@@ -333,7 +324,7 @@ def one_shot_prune(
 ) -> RetentionDecision:
     """Ablation baseline: prune once, discard the parked rows permanently."""
     decision = initial_prune(snapshot, cache, config)
-    cache.freeze()
+    cache.frozen = True
     return decision
 
 
@@ -344,5 +335,5 @@ def random_prune(cache: DualCache, config: CompressionConfig) -> RetentionDecisi
     rng = np.random.default_rng([config.seed % 2**32, 300])
     rows = rng.choice(cache.survivor_count, size=quota, replace=False)
     decision = _retain(cache, 0, np.sort(rows), None)
-    cache.freeze()
+    cache.frozen = True
     return decision

@@ -510,7 +510,9 @@ def run_bench(
     means: list[float] = []
     for slot, (strat, cache) in enumerate(zip(strategies, caches)):
         # Visual storage is fixed and extra rows only grow: the last step is the peak.
-        resident_rows = sum(st.vis_k.shape[0] + st.extra_len for st in cache.layers)
+        resident_rows = cache.layer_count * (
+            cache.survivor_count + cache.n_text + cache.generated_count()
+        )
         measured = times[slot][warmup:]
         mean_s = float(np.mean(measured))
         means.append(mean_s)

@@ -107,8 +107,8 @@ class CompressionConfig:
     p_rate     stage-2 pruning rate in [0, 1] (retain ceil((1 - p_rate) * survivors))
     window_len sliding-window length in frames, even and >= 2
     heads      >= 1, echoed in reports only; no stage reads it (the decoder
-               takes ModelDims.heads). Removing it changes report bytes, so it
-               waits for a change that re-pins the outputs anyway
+               takes ModelDims.heads). simulate, sweep and bench set it to the
+               model's head count; replay runs no model, so it keeps the default
     seed       drives synthetic data, weights, and the random baseline
     merge_mode 'drop' discards the redundant token; 'mean' folds it into the
                kept counterpart by averaging (experimental)

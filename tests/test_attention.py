@@ -304,7 +304,6 @@ def test_prefill_decode_consistency():
     for step in range(5):
         hidden, snap = dec.decode_step(embeddings[-1], cache, step)
         assert snap is not None and snap.layer == 1
-        assert abs(snap.row_total - 1.0) < 1e-6
         outputs.append(hidden)
         _, emb = dec.select_token(hidden)
         embeddings.append(emb)

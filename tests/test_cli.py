@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dycoke.attention import EmptyKeySet
 from dycoke.cli import main
 from dycoke.simulate import STRATEGIES, SWEEP_COLUMNS
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
@@ -138,6 +139,24 @@ def test_sweep_csv_columns_fixed(tmp_path):
     assert stage1 == [0.775, 0.625, 0.475]
 
 
+def test_sweep_json_rows_are_the_csv_rows(tmp_path):
+    # The same cells, an error cell included; only the timed column may differ.
+    argv = ["sweep", "--frames", "4", "--tokens-per-frame", "8", "--dim", "16", "--layers", "3",
+            "--K-grid", "0.3,0.7", "--L-grid", "1,5", "--P-grid", "0.7", "-R", "2"]
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert run_cli(*argv, "--out", str(csv_path)) == 0
+    assert run_cli(*argv, "--format", "json", "--out", str(json_path)) == 0
+    with open(csv_path, newline="") as fh:
+        csv_rows = list(csv.DictReader(fh))
+    data = json.loads(json_path.read_text())
+    assert data["kind"] == "sweep"
+    json_rows = [{name: str(value) for name, value in row.items()} for row in data["rows"]]
+    for row in csv_rows + json_rows:
+        del row["mean_step_latency_ms"]
+    assert json_rows == csv_rows
+    assert [row["status"].split(":")[0] for row in csv_rows] == ["ok", "error", "ok", "error"]
+
+
 def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     # An empty grid is a usage error, not a header-only CSV.
     out = tmp_path / "empty.csv"
@@ -238,6 +257,31 @@ def test_replay_cli(tmp_path):
     data = json.loads(out.read_text())
     assert data["kind"] == "replay"
     assert len(data["steps"]) == 5
+
+
+def test_replay_audit_log_is_the_reports_audit(tmp_path):
+    grid = synth_grid(CompressionConfig(seed=0), 4, 8, 8)
+    rng = np.random.default_rng(1)
+    attention = {(t, 1): rng.random(grid.total_tokens).astype(np.float32) for t in range(4)}
+    trace = tmp_path / "replay.dyck"
+    write_trace(trace, grid, TextTokens.empty(8), attention)
+    report, audit = tmp_path / "replay.json", tmp_path / "audit.jsonl"
+    code = run_cli("replay", "--trace", str(trace), "-L", "1", "--report", str(report),
+                   "--audit-log", str(audit))
+    assert code == 0
+    data = json.loads(report.read_text())
+    lines = audit.read_text().splitlines()
+    assert len(lines) == 4
+    assert [json.loads(line) for line in lines] == data["audit"]
+    assert data["spec"]["config"]["heads"] == CompressionConfig().heads
+
+
+def test_replay_heads_flag_exits_2(tmp_path, capsys):
+    # replay runs no attention, so it takes no model flag.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("replay", "--trace", str(tmp_path / "any.dyck"), "--heads", "8")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --heads 8" in capsys.readouterr().err
 
 
 def test_replay_missing_block_exits_2(tmp_path, capsys):
@@ -397,6 +441,36 @@ def test_invariant_violation_exits_3_with_state_dump(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "invariant violation" in err
     assert json.loads(err.splitlines()[-1]) == {"step": 7, "active": 1, "quota": 2}
+
+
+def test_simulate_float32_overflow_exits_2_with_one_line(capsys):
+    code = run_cli("simulate", "--dtype", "float32", "--drift", "1e20", "--frames", "4",
+                   "--tokens-per-frame", "4", "--dim", "16", "--layers", "2", "-L", "0", "-R", "2",
+                   "--report", os.devnull)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: overflow encountered in matmul: the inputs are too large for --dtype"
+    ]
+
+
+def _unsorted_rows(snapshot, cache, config):
+    return cache.apply(np.array([1, 0]))
+
+
+def _empty_key_set(snapshot, cache, config):
+    raise EmptyKeySet("attention over an empty key set")
+
+
+@pytest.mark.parametrize("policy", [_unsorted_rows, _empty_key_set], ids=["rows", "keys"])
+def test_consistency_failure_inside_a_run_exits_3(policy, monkeypatch, capsys):
+    from dycoke import dynkv
+
+    monkeypatch.setattr(dynkv, "initial_prune", policy)
+    code = run_cli("simulate", "--frames", "4", "--tokens-per-frame", "4", "--dim", "16",
+                   "--layers", "2", "-L", "0", "-R", "2", "--report", os.devnull)
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("internal consistency failure: ")
 
 
 def test_sweep_invariant_violation_exits_3(monkeypatch, tmp_path, capsys):

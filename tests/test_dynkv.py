@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dycoke.attention import AttentionSnapshot
+from dycoke.attention import AttentionSnapshot, ModelDims, ToyDecoder
 from dycoke.dynkv import (
     DualCache,
     InvariantViolation,
@@ -16,7 +16,7 @@ from dycoke.dynkv import (
     random_prune,
     retention_quota,
 )
-from dycoke.simulate import jaccard
+from dycoke.simulate import _decode, jaccard
 from dycoke.tokens import CompressionConfig, TokenId
 
 
@@ -276,6 +276,64 @@ def test_frozen_cache_rejects_membership_change():
         with pytest.raises(MissingParkedRow):
             cache.apply(np.array(rows))
     assert cache.active_rows.tolist() == [0, 1]
+
+
+def test_apply_returns_the_moved_rows():
+    cache = make_cache(6, layers=3, eval_layer=1)
+    readmitted, evicted = cache.apply(np.array([1, 3, 4]))
+    assert readmitted.tolist() == [] and evicted.tolist() == [0, 2, 5]
+    readmitted, evicted = cache.apply(np.array([0, 2, 4]))
+    assert readmitted.tolist() == [0, 2] and evicted.tolist() == [1, 3]
+    readmitted, evicted = cache.apply(np.array([0, 2, 4]))
+    assert readmitted.size == 0 and evicted.size == 0
+    for layer in range(3):  # the eval layer and those below it keep the full storage
+        want = cache.layers[layer].vis_k[[0, 2, 4]] if layer > 1 else cache.layers[layer].vis_k
+        assert cache.active_keys(layer).tobytes() == want.tobytes()
+
+
+def test_cache_rejects_bad_row_count_and_eval_layer():
+    ids = [TokenId(0, i) for i in range(4)]
+    kvs = [(np.zeros((5, 4)), np.zeros((5, 4)))] * 2
+    with pytest.raises(ValueError, match="row count != survivors"):
+        DualCache(kvs, ids, 2, 4, 0)
+    with pytest.raises(ValueError, match="eval_layer 2 out of range for 2 layers"):
+        DualCache(kvs, ids, 1, 4, 2)
+
+
+def test_decision_rejects_a_snapshot_of_other_survivors():
+    cache = make_cache(4)
+    config = CompressionConfig(p_rate=0.5)
+    other = AttentionSnapshot(step=0, layer=0, scores=np.ones(4),
+                              token_ids=tuple(TokenId(1, i) for i in range(4)))
+    with pytest.raises(ValueError, match="does not cover the survivor token set"):
+        initial_prune(other, cache, config)
+    with pytest.raises(ValueError, match="score count != survivor count"):
+        dynamic_swap(snap(0, [0.5, 0.2, 0.1], cache), cache, config)
+    assert cache.active_rows.tolist() == [0, 1, 2, 3] and not cache.partitioned
+
+
+def test_extra_rows_grow_past_the_reserve_without_changing_a_step():
+    # One reserved row forces the text/generated store to grow twice in 20
+    # steps; every step must match a cache that reserved them all up front.
+    dims = ModelDims(layers=3, hidden=16, ffn_inner=32, heads=4)
+    decoder = ToyDecoder(dims, seed=5)
+    kvs, last = decoder.prefill(np.random.default_rng(5).standard_normal((14, 16)))
+    config = CompressionConfig(eval_layer=1, p_rate=0.5)
+    ids = [TokenId(0, i) for i in range(12)]
+    runs = []
+    for reserve in (1, 20):
+        cache = DualCache(kvs, ids, 2, retention_quota(12, 0.5), 1, reserve_steps=reserve)
+        _, emb = decoder.select_token(last)
+        steps = list(_decode(decoder, cache, emb, 20, "dycoke", config))
+        assert cache.generated_count() == 20
+        runs.append(
+            (
+                [hidden.tobytes() for *_, hidden, _ in steps],
+                [token for *_, token, _, _ in steps],
+                [decision.to_json() for _, decision, *_ in steps],
+            )
+        )
+    assert runs[0] == runs[1]
 
 
 def test_cache_rejects_repeated_survivor_ids():

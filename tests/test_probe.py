@@ -64,3 +64,33 @@ def test_workload_tiny_pass_keeps_stage1_survivors(name, tmp_path, monkeypatch):
     expect = checks.stage1_survivors(w.grid.data, w.frames, w.tpf, w.config.k_rate, w.config.window_len)
     np.testing.assert_array_equal(checks.encode(results[0].token_ids, w.tpf), expect)
     assert results[0].retained_count == len(expect)
+
+
+def test_kv_bytes_of_recorded_caches(tmp_path, monkeypatch):
+    # peak_kv_bytes reads the cache through run.kv_bytes only; one tiny
+    # decode_long pass under the Recorder checks it against the cache's shape.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        probe = importlib.import_module("probe")
+        run = importlib.import_module("run")
+        workloads = importlib.import_module("workloads")
+        w = workloads.WORKLOADS["decode_long"](0, tiny=True)
+        w.setup(str(tmp_path))
+        rec, patches = probe.Recorder(), probe.Patches()
+        rec.install(patches)
+        try:
+            w.run_pass()
+        finally:
+            patches.undo()
+    finally:
+        for name in ("probe", "run", "workloads", "checks"):
+            sys.modules.pop(name, None)
+    (cache,) = rec.caches()
+    row = 2 * w.dims.hidden * np.dtype(w.dtype).itemsize
+    full = w.config.eval_layer + 1  # layers that attend every survivor
+    pruned = w.dims.layers - full
+    active = (full * cache.survivor_count + pruned * len(cache.active_rows)) * row
+    parked = pruned * (cache.survivor_count - len(cache.active_rows)) * row
+    extra = w.dims.layers * (cache.n_text + w.steps) * row
+    assert 0 < len(cache.active_rows) < cache.survivor_count and pruned > 0
+    assert run.kv_bytes(cache) == (active, parked, extra)
