@@ -15,7 +15,7 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import costmodel, dynkv, simulate, trace as trace_io
@@ -44,7 +44,8 @@ def _add_rate_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_compression_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=4, help="sliding window length in frames")
+    p.add_argument("--window", dest="window_len", metavar="WINDOW", type=int, default=4,
+                   help="sliding window length in frames")
     p.add_argument("--merge-mode", choices=("drop", "mean"), default="drop")
     p.add_argument("--seed", type=int, default=0)
 
@@ -68,16 +69,11 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", default=None, help="replay embeddings from a trace file")
 
 
-def _config_from(args) -> CompressionConfig:
-    """The run's config; a field with no flag (sweep's rates, replay's heads) keeps its default."""
-    given = {f: getattr(args, f) for f in ("k_rate", "eval_layer", "p_rate", "heads")
-             if f in vars(args)}
-    return CompressionConfig(
-        window_len=args.window,
-        seed=args.seed,
-        merge_mode=args.merge_mode,
-        **given,
-    )
+def _config_from(args, **fixed) -> CompressionConfig:
+    """Config from the subcommand's flags, then ``fixed``; a field with no flag keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in fields(CompressionConfig)
+             if f.name in vars(args)}
+    return CompressionConfig(**given | fixed)
 
 
 def _dims_from(args) -> ModelDims:
@@ -167,8 +163,7 @@ def _parse_grid(flag: str, text: str, cast):
 
 
 def cmd_replay(args) -> int:
-    config = _config_from(args)
-    result = simulate.run_replay(args.trace, config)
+    result = simulate.run_replay(args.trace, _config_from(args))
     _emit(result.to_json(), args.report)
     if args.audit_log:
         _write_jsonl(result.audit, args.audit_log)
@@ -177,7 +172,7 @@ def cmd_replay(args) -> int:
 
 def cmd_cost(args) -> int:
     dims = _model_dims(args, heads=None, custom_heads=1)
-    config = CompressionConfig(k_rate=args.k_rate, p_rate=args.p_rate)
+    config = _config_from(args)
     if args.frames < 1 or args.tokens_per_frame < 1:
         raise ValueError("frames and tokens_per_frame must be >= 1")
     n_visual = args.frames * args.tokens_per_frame
@@ -214,10 +209,7 @@ def cmd_cost(args) -> int:
 
 def cmd_bench(args) -> int:
     dims = _model_dims(args, heads=args.heads, custom_heads=4)
-    config = CompressionConfig(
-        k_rate=args.k_rate, eval_layer=args.eval_layer, p_rate=args.p_rate,
-        window_len=args.window, heads=dims.heads, seed=args.seed,
-    )
+    config = _config_from(args, heads=dims.heads)
     result = simulate.run_bench(
         dims,
         config,
@@ -301,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-K", "--k-rate", type=float, default=0.7)
     p.add_argument("-L", "--eval-layer", type=int, default=0)
     p.add_argument("-P", "--p-rate", type=float, default=0.7)
-    p.add_argument("--window", type=int, default=4)
+    p.add_argument("--window", dest="window_len", metavar="WINDOW", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames", type=int, default=32)
     p.add_argument("--tokens-per-frame", type=int, default=196)

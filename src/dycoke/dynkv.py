@@ -13,6 +13,9 @@ Each layer stores the visual rows it attends, and ``DualCache.apply`` is
 the only place they move. Rows never change once written: parking and
 readmission only move membership, so a readmitted token carries
 bit-identical K/V.
+
+``STRATEGIES`` names the strategies and ``decide`` picks each step's
+policy; the policies alone compute the retention quota, kept on the cache.
 """
 
 from __future__ import annotations
@@ -132,6 +135,10 @@ class DualCache:
     layer above it, so membership is stored once, as the sorted survivor rows
     ``active_rows``, and each layer keeps the visual rows it attends. Row
     ``i`` is the survivor ``token_ids[i]``.
+
+    ``quota`` is the active count ``check_invariants`` holds once a policy has
+    pruned; a caller that builds the cache with every survivor active passes
+    the survivor count.
     """
 
     def __init__(
@@ -293,9 +300,8 @@ def _retain_top(
         raise ValueError("snapshot does not cover the survivor token set")
     if len(snapshot.scores) != cache.survivor_count:
         raise ValueError("snapshot score count != survivor count")
-    quota = retention_quota(cache.survivor_count, config.p_rate)
-    cache.quota = quota
-    rows, threshold = _top_quota(snapshot.scores, quota)
+    cache.quota = retention_quota(cache.survivor_count, config.p_rate)
+    rows, threshold = _top_quota(snapshot.scores, cache.quota)
     return _retain(cache, snapshot.step, rows, threshold)
 
 
@@ -330,10 +336,30 @@ def one_shot_prune(
 
 def random_prune(cache: DualCache, config: CompressionConfig) -> RetentionDecision:
     """Ablation baseline: keep a uniform random quota-size subset drawn from ``config.seed``."""
-    quota = retention_quota(cache.survivor_count, config.p_rate)
-    cache.quota = quota
+    cache.quota = retention_quota(cache.survivor_count, config.p_rate)
     rng = np.random.default_rng([config.seed % 2**32, 300])
-    rows = rng.choice(cache.survivor_count, size=quota, replace=False)
+    rows = rng.choice(cache.survivor_count, size=cache.quota, replace=False)
     decision = _retain(cache, 0, np.sort(rows), None)
     cache.frozen = True
     return decision
+
+
+STRATEGIES = ("dycoke", "one_shot", "random", "none")
+
+
+def decide(strategy: str, step: int, snapshot: AttentionSnapshot, cache: DualCache,
+           config: CompressionConfig) -> RetentionDecision | None:
+    """The strategy's stage-2 decision for one step: prune at step 0, then swap.
+
+    ``none`` decides nothing. The policies are looked up as module globals at
+    call time, so wrappers installed on this module see every call.
+    """
+    if strategy == "none":
+        return None
+    if step > 0:
+        return dynamic_swap(snapshot, cache, config)
+    if strategy == "dycoke":
+        return initial_prune(snapshot, cache, config)
+    if strategy == "one_shot":
+        return one_shot_prune(snapshot, cache, config)
+    return random_prune(cache, config)

@@ -29,7 +29,7 @@ from .attention import (
 from .tokens import CompressionConfig, TextTokens, VisualTokenGrid, synth_grid, synth_text
 from .ttm import TtmResult, apply_ttm
 
-STRATEGIES = ("dycoke", "one_shot", "random", "none")
+STRATEGIES = dynkv.STRATEGIES
 DTYPES = ("float32", "float64")
 
 REPORT_SCHEMA = "dycoke-report/1"
@@ -112,29 +112,6 @@ class RunSpec:
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
-def _decide(
-    strategy: str,
-    step: int,
-    snapshot: AttentionSnapshot,
-    cache: dynkv.DualCache,
-    config: CompressionConfig,
-) -> dynkv.RetentionDecision | None:
-    """The strategy's stage-2 decision for one step: prune at step 0, then swap.
-
-    The dynkv functions are looked up at call time so wrappers installed on the
-    module see every call.
-    """
-    if strategy == "none":
-        return None
-    if step > 0:
-        return dynkv.dynamic_swap(snapshot, cache, config)
-    if strategy == "dycoke":
-        return dynkv.initial_prune(snapshot, cache, config)
-    if strategy == "one_shot":
-        return dynkv.one_shot_prune(snapshot, cache, config)
-    return dynkv.random_prune(cache, config)
-
-
 def _step_row(step: int, decision: dynkv.RetentionDecision | None) -> dict:
     return {
         "step": step,
@@ -162,7 +139,7 @@ def _decode(
         decided: list = []
 
         def on_snapshot(snapshot: AttentionSnapshot, step: int = step) -> None:
-            decided.append(_decide(strategy, step, snapshot, cache, config))
+            decided.append(dynkv.decide(strategy, step, snapshot, cache, config))
 
         t0 = time.perf_counter()
         hidden, _ = decoder.decode_step(emb, cache, step, on_snapshot=on_snapshot)
@@ -228,8 +205,6 @@ def _load_inputs(spec: RunSpec) -> tuple[VisualTokenGrid, TextTokens]:
         text = synth_text(spec.config, spec.text_tokens, spec.dims.hidden)
     if grid.hidden_dim != spec.dims.hidden:
         raise ValueError(f"grid dim {grid.hidden_dim} != model hidden {spec.dims.hidden}")
-    if text.count and text.hidden_dim != spec.dims.hidden:
-        raise ValueError(f"text dim {text.hidden_dim} != model hidden {spec.dims.hidden}")
     return grid, text
 
 
@@ -267,10 +242,6 @@ def _simulate(spec: RunSpec, grid: VisualTokenGrid, text: TextTokens) -> SimResu
     ttm = apply_ttm(grid, spec.config)
     ttm_seconds = time.perf_counter() - t0
     survivors = ttm.retained_count
-    if spec.strategy == "none":
-        quota = survivors
-    else:
-        quota = dynkv.retention_quota(survivors, spec.config.p_rate)
 
     decoder = ToyDecoder(
         spec.dims, seed=spec.config.seed, scale=spec.scale, dtype=np.dtype(spec.dtype)
@@ -280,11 +251,12 @@ def _simulate(spec: RunSpec, grid: VisualTokenGrid, text: TextTokens) -> SimResu
     layer_kvs, last_hidden = decoder.prefill(prompt)
     prefill_seconds = time.perf_counter() - t0
 
+    # Every survivor starts active; the strategy's policy sets the quota when it prunes.
     cache = dynkv.DualCache(
         layer_kvs,
         ttm.token_ids,
         n_text=text.count,
-        quota=quota,
+        quota=survivors,
         eval_layer=spec.config.eval_layer,
         reserve_steps=spec.decode_steps + 2,
     )
@@ -298,14 +270,14 @@ def _simulate(spec: RunSpec, grid: VisualTokenGrid, text: TextTokens) -> SimResu
         total_visual=grid.total_tokens,
         ttm=ttm,
         text_count=text.count,
-        quota=quota,
+        quota=cache.quota,
         retained_ratio_stage1=ttm.retained_ratio,
-        retained_ratio_final=quota / grid.total_tokens,
+        retained_ratio_final=cache.quota / grid.total_tokens,
         decoded_ids=[token, *tokens],
         steps=list(steps),
         audit=[d.to_json() for d in decisions if d is not None],
         flops=_flops_summary(
-            spec.dims, grid.total_tokens, text.count, survivors, quota, spec.decode_steps
+            spec.dims, grid.total_tokens, text.count, survivors, cache.quota, spec.decode_steps
         ),
         hidden_states=np.array(hidden_states, dtype=np.float64),
         timings={
@@ -375,20 +347,16 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
     """
     contents = trace_io.load_trace(trace_path)
     layer = config.eval_layer
-    steps_at_layer = sorted(s for (s, l) in contents.attention if l == layer)
-    if not steps_at_layer:
-        raise trace_io.MissingAttentionBlock(0, layer)
-    last = steps_at_layer[-1]
+    last = max((s for (s, l) in contents.attention if l == layer), default=0)
     for step in range(last + 1):
         if (step, layer) not in contents.attention:
             raise trace_io.MissingAttentionBlock(step, layer)
 
     ttm = apply_ttm(contents.grid, config)
     survivors = ttm.retained_count
-    quota = dynkv.retention_quota(survivors, config.p_rate)
 
     # Membership only: one layer, the eval layer, so no pruned-layer rows are copied.
-    tracked = dynkv.DualCache([(ttm.data, ttm.data)], ttm.token_ids, 0, quota, eval_layer=0)
+    tracked = dynkv.DualCache([(ttm.data, ttm.data)], ttm.token_ids, 0, survivors, eval_layer=0)
 
     audit: list[dict] = []
     steps: list[dict] = []
@@ -397,7 +365,7 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
         snapshot = AttentionSnapshot(
             step=step, layer=layer, scores=scores, token_ids=tracked.token_ids
         )
-        decision = _decide("dycoke", step, snapshot, tracked, config)
+        decision = dynkv.decide("dycoke", step, snapshot, tracked, config)
         tracked.check_invariants(step)
         audit.append(decision.to_json())
         if step == 0:
@@ -410,9 +378,9 @@ def run_replay(trace_path, config: CompressionConfig) -> ReplayResult:
         spec_echo=echo,
         total_visual=contents.grid.total_tokens,
         survivors=survivors,
-        quota=quota,
+        quota=tracked.quota,
         retained_ratio_stage1=ttm.retained_ratio,
-        retained_ratio_final=quota / contents.grid.total_tokens,
+        retained_ratio_final=tracked.quota / contents.grid.total_tokens,
         steps=steps,
         audit=audit,
         readmitted_total=sum(row["readmitted"] for row in steps),
@@ -483,12 +451,7 @@ def run_bench(
 
     caches = []
     for strat in strategies:
-        if strat == "none":
-            ids = grid.all_token_ids()
-            quota = len(ids)
-        else:
-            ids = ttm.token_ids
-            quota = dynkv.retention_quota(len(ids), config.p_rate)
+        ids = grid.all_token_ids() if strat == "none" else ttm.token_ids
         # Synthetic K/V fill: decode-step cost depends on cache shape, not values,
         # so the expensive prefill GEMMs are skipped for timing runs.
         shape = (len(ids) + text_tokens, dims.hidden)
@@ -497,7 +460,7 @@ def run_bench(
         _fill_layers([(layer, [(k, 1.0), (v, 1.0)]) for layer, (k, v) in enumerate(kvs)],
                      config.seed, 400)
         caches.append(dynkv.DualCache(
-            kvs, ids, text_tokens, quota, config.eval_layer, reserve_steps=steps + warmup + 2
+            kvs, ids, text_tokens, len(ids), config.eval_layer, reserve_steps=steps + warmup + 2
         ))
     loops = [_decode(decoder, cache, emb0, warmup + steps, strat, config)
              for cache, strat in zip(caches, strategies)]

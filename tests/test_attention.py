@@ -245,6 +245,24 @@ def test_dimension_mismatch():
         attention_row(np.ones(5), np.ones((2, 5)), np.ones((2, 5)), heads=2)
 
 
+_SMALL = ModelDims(layers=2, hidden=8, ffn_inner=16, heads=2)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ToyDecoder(_SMALL, scale="x"), ValueError, "scale must be 'head' or 'full'"),
+        # the width is checked before the cache is read
+        (lambda: ToyDecoder(_SMALL).decode_step(np.ones(9), None, 0), DimensionMismatch,
+         "embedding width 9 != 8"),
+    ],
+    ids=["scale", "embedding-width"],
+)
+def test_decoder_rejects_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_scale_flag_changes_scores():
     rng = np.random.default_rng(5)
     q = rng.standard_normal(8)

@@ -1,0 +1,30 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_report_matrix_writes_every_output_without_paths_or_build(tmp_path):
+    out = tmp_path / "matrix"
+    env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "report_matrix.py"), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    exits = {p.name.removesuffix(".exit"): p.read_text() for p in out.glob("*.exit")}
+    # 17 simulate, 2 replay, 2 cost, 2 bench, 4 sweep runs and 5 --help texts
+    assert len(exits) == 32
+    assert set(exits.values()) == {"0\n"}
+    assert len(list(out.glob("simulate-*.merge.jsonl"))) == 17
+    assert len(list(out.glob("help-*.txt"))) == 5
+    for path in out.iterdir():
+        if path.suffix != ".dyck":
+            assert str(tmp_path) not in path.read_text(), path.name
+    for path in out.glob("*.json"):
+        report = json.loads(path.read_text())
+        assert "build" not in report and "trace_path" not in report.get("spec", {}), path.name
+    rows = (out / "sweep-trace-csv.csv").read_text().splitlines()
+    assert "mean_step_latency_ms" not in rows[0]
+    assert sum("error: eval_layer 9" in row for row in rows) == 2

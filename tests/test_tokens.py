@@ -120,6 +120,20 @@ def test_text_tokens():
     assert s.data.tobytes() == synth_text(CompressionConfig(seed=2), 5, 6).data.tobytes()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: TextTokens(np.ones(4, np.float32)), re.escape("must be 2-D, got shape (4,)")),
+        (lambda: synth_grid(CompressionConfig(), 0, 4, 8), "must all be >= 1"),
+        (lambda: synth_text(CompressionConfig(), -1, 8), "count must be >= 0"),
+    ],
+    ids=["text-1d", "grid-0-frames", "text-count-negative"],
+)
+def test_token_builders_reject_bad_shapes(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_config_validation():
     good = CompressionConfig()
     for bad in (

@@ -184,6 +184,52 @@ def test_trailing_bytes_rejected(tmp_path):
     assert err.value.offset == len(raw)
 
 
+def _replay_exits_2(path, capsys, offset: int) -> None:
+    code = main(["replay", "--trace", str(path), "-L", "0"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert err[0].endswith(f"(byte offset {offset})")
+
+
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["frames", "tokens_per_frame", "hidden_dim"])
+def test_header_declaring_a_zero_dimension_rejected(tmp_path, capsys, field):
+    path, raw = _two_block_trace(tmp_path)
+    raw[6 + 4 * field : 10 + 4 * field] = struct.pack("<I", 0)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TraceError, match="header declares invalid shape") as err:
+        load_trace(path)
+    assert type(err.value) is TraceError
+    assert err.value.offset == 6
+    _replay_exits_2(path, capsys, 6)
+
+
+@pytest.mark.parametrize("cut", [_BLOCKS_AT, _BLOCKS_AT + 5, _BLOCKS_AT + _BLOCK_BYTES + 11])
+def test_file_ending_inside_a_block_header(tmp_path, capsys, cut):
+    path, raw = _two_block_trace(tmp_path)
+    path.write_bytes(bytes(raw[:cut]))
+    with pytest.raises(TruncatedPayload, match="inside attention block header") as err:
+        load_trace(path)
+    assert err.value.offset == cut
+    _replay_exits_2(path, capsys, cut)
+
+
+@pytest.mark.parametrize(
+    "text_dim, score, match",
+    [(5, 1.0, "text hidden_dim 5 != grid hidden_dim 4"), (4, np.nan, "non-finite")],
+    ids=["text-width", "nan-score"],
+)
+def test_write_trace_rejects_bad_input_before_writing(tmp_path, text_dim, score, match):
+    cfg = CompressionConfig(seed=9)
+    grid = synth_grid(cfg, 2, 3, 4)
+    scores = np.ones(6, np.float32)
+    scores[2] = score
+    path = tmp_path / "x.dyck"
+    with pytest.raises(ValueError, match=match):
+        write_trace(path, grid, synth_text(cfg, 1, text_dim), {(0, 0): scores})
+    assert not path.exists()
+
+
 def _replay_trace_bytes(tmp_path) -> bytes:
     grid = synth_grid(CompressionConfig(seed=0), 4, 8, 8)
     rng = np.random.default_rng(1)
