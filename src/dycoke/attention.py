@@ -76,8 +76,8 @@ def _empty_layer(dims: ModelDims, dtype) -> tuple[LayerWeights, list[tuple[np.nd
     return LayerWeights(**{name: out for name, (out, _) in outs.items()}), list(outs.values())
 
 
-# float64 values per chunk of a draw into a narrower dtype: each chunk is
-# drawn, scaled and cast in turn, so a draw holds 512 KiB of float64 at a
+# float64 values per chunk of a draw: each chunk is drawn, scaled and cast
+# in turn, so a draw into a narrower dtype holds 512 KiB of float64 at a
 # time instead of a float64 copy of the whole matrix. A worker thread's
 # malloc arena keeps its last chunk: on a 2-core x86 VM, 2 MiB chunks
 # raised perfbench decode_long's peak RSS by 1.7 MB, these by 0.2-0.3 MB.
@@ -88,13 +88,8 @@ def _fill_normal(rng: np.random.Generator, out: np.ndarray, scale: float) -> Non
     """Fill the C-contiguous ``out`` with ``rng``'s standard normals times ``scale``.
 
     The bits equal those of one float64 draw of ``out``'s shape, scaled and
-    cast to ``out.dtype``: a float64 ``out`` is drawn and scaled in place,
-    any other dtype a chunk at a time, in stream order.
+    cast to ``out.dtype``: the draw runs a chunk at a time, in stream order.
     """
-    if out.dtype == np.float64:
-        rng.standard_normal(out=out)
-        out *= scale
-        return
     flat = out.reshape(-1)
     scratch = np.empty(min(flat.size, _DRAW_CHUNK))
     for lo in range(0, flat.size, _DRAW_CHUNK):
@@ -392,8 +387,15 @@ def attention_segments(
             raise DimensionMismatch(
                 f"segment shapes {k_seg.shape}/{v_seg.shape} incompatible with width {d}"
             )
-    out, scores = _attend(q, live, heads, np.sqrt(d // heads if scale == "head" else d))
+    out, scores = _attend(q, live, heads, softmax_denom(scale, d, heads))
     return out, scores, scores.mean(axis=0)
+
+
+def softmax_denom(scale: str, hidden: int, heads: int) -> float:
+    """The logit divisor: sqrt(head_dim) for scale 'head', sqrt(hidden) for 'full'."""
+    if scale not in ("head", "full"):
+        raise ValueError(f"scale must be 'head' or 'full', got {scale!r}")
+    return np.sqrt(hidden // heads if scale == "head" else hidden)
 
 
 def attention_row(
@@ -433,8 +435,7 @@ class ToyDecoder:
     """
 
     def __init__(self, dims: ModelDims, seed: int = 0, scale: str = "head", dtype=np.float64):
-        if scale not in ("head", "full"):
-            raise ValueError(f"scale must be 'head' or 'full', got {scale!r}")
+        self._denom = softmax_denom(scale, dims.hidden, dims.heads)
         self.dims = dims
         self.scale = scale
         self.dtype = np.dtype(dtype)
@@ -466,15 +467,11 @@ class ToyDecoder:
         self, h: np.ndarray, layers: list[LayerWeights]
     ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
         kvs = []
-        denom = self._denom()
         for weights in layers:
             q, k, v = project_qkv(h, weights)
             kvs.append((k, v))
-            h = _ffn_rows(_causal_attention(q, k, v, self.dims.heads, denom), weights)
+            h = _ffn_rows(_causal_attention(q, k, v, self.dims.heads, self._denom), weights)
         return kvs, h
-
-    def _denom(self) -> float:
-        return np.sqrt(self.dims.head_dim if self.scale == "head" else self.dims.hidden)
 
     def prefill(self, rows: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
         """Process the prompt; returns per-layer KV plus the last position's output.
@@ -487,7 +484,7 @@ class ToyDecoder:
         kvs, h = self._causal_layers(np.ascontiguousarray(rows, dtype=self.dtype), below)
         q, k, v = project_qkv(h, top)
         kvs.append((k, v))
-        ctx, _ = _attend(q[-1], [(k, v)], self.dims.heads, self._denom())
+        ctx, _ = _attend(q[-1], [(k, v)], self.dims.heads, self._denom)
         return kvs, _ffn_rows(ctx[None], top)[0]
 
     # -- incremental decode ---------------------------------------------------

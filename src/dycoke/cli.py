@@ -43,14 +43,15 @@ def _add_rate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-P", "--p-rate", type=float, default=0.7, help="stage-2 pruning rate")
 
 
-def _add_compression_flags(p: argparse.ArgumentParser) -> None:
+def _add_window_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", dest="window_len", metavar="WINDOW", type=int, default=4,
                    help="sliding window length in frames")
-    p.add_argument("--merge-mode", choices=("drop", "mean"), default="drop")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_model_flags(p: argparse.ArgumentParser, layers_default: int = 6) -> None:
+    """Flags of runs that feed data through the toy model; replay runs no model."""
+    p.add_argument("--merge-mode", choices=("drop", "mean"), default="drop")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=64, help="hidden size (and grid token dim)")
     p.add_argument("--layers", type=int, default=layers_default)
     p.add_argument("--ffn", type=int, default=None, help="FFN inner size (default 2*dim)")
@@ -61,10 +62,10 @@ def _add_model_flags(p: argparse.ArgumentParser, layers_default: int = 6) -> Non
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--tokens-per-frame", type=int, default=16)
-    p.add_argument("--text-tokens", type=int, default=4)
-    p.add_argument("--drift", type=float, default=0.05,
+    p.add_argument("--frames", type=int)
+    p.add_argument("--tokens-per-frame", type=int)
+    p.add_argument("--text-tokens", type=int)
+    p.add_argument("--drift", type=float,
                    help="frame-to-frame perturbation scale for synthetic grids")
     p.add_argument("--trace", default=None, help="replay embeddings from a trace file")
 
@@ -90,16 +91,13 @@ def _spec_from(args, timing: bool = False) -> simulate.RunSpec:
         config=_config_from(args),
         dims=_dims_from(args),
         mode="trace" if args.trace else "synthetic",
-        frames=args.frames,
-        tokens_per_frame=args.tokens_per_frame,
         trace_path=args.trace,
-        text_tokens=args.text_tokens,
         decode_steps=args.steps,
         strategy=args.strategy,
-        drift=args.drift,
         scale=args.scale,
         dtype=args.dtype,
         timing=timing,
+        **{name: getattr(args, name) for name in simulate.SYNTHETIC_SHAPE},
     )
 
 
@@ -156,7 +154,10 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_grid(flag: str, text: str, cast):
-    values = [cast(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        values = [cast(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not a list of {cast.__name__}s") from None
     if not values:
         raise ValueError(f"{flag} has no values: {text!r}")
     return values
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one end-to-end compression simulation")
     _add_rate_flags(p)
-    _add_compression_flags(p)
+    _add_window_flag(p)
     _add_model_flags(p)
     _add_input_flags(p)
     p.add_argument("-R", "--steps", type=int, default=8, help="decode steps")
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="cross-product sweep over the K, L and P grids")
-    _add_compression_flags(p)
+    _add_window_flag(p)
     _add_model_flags(p, layers_default=12)
     _add_input_flags(p)
     p.add_argument("-R", "--steps", type=int, default=8)
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="drive retention from recorded attention rows")
     _add_rate_flags(p)
-    _add_compression_flags(p)
+    _add_window_flag(p)
     p.add_argument("--trace", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--audit-log", default=None)

@@ -25,12 +25,14 @@ from .attention import (
     ToyDecoder,
     _fill_layers,
     _prefill_workers,
+    softmax_denom,
 )
 from .tokens import CompressionConfig, TextTokens, VisualTokenGrid, synth_grid, synth_text
 from .ttm import TtmResult, apply_ttm
 
 STRATEGIES = dynkv.STRATEGIES
 DTYPES = ("float32", "float64")
+SYNTHETIC_SHAPE = {"frames": 8, "tokens_per_frame": 16, "text_tokens": 4, "drift": 0.05}
 
 REPORT_SCHEMA = "dycoke-report/1"
 
@@ -71,6 +73,7 @@ def build_stamp() -> str:
 class RunSpec:
     """Everything one simulation run needs; a field out of range raises when built.
 
+    A synthetic run defaults each unset SYNTHETIC_SHAPE field; a trace-fed run rejects them.
     Each run checks ``config.eval_layer < dims.layers``, so a sweep base
     may be shallower than the eval layers its cells set.
     """
@@ -78,13 +81,13 @@ class RunSpec:
     config: CompressionConfig = CompressionConfig()
     dims: ModelDims = ModelDims(layers=6, hidden=64, ffn_inner=128, heads=4)
     mode: str = "synthetic"
-    frames: int = 8
-    tokens_per_frame: int = 16
+    frames: int | None = None
+    tokens_per_frame: int | None = None
     trace_path: str | None = None
-    text_tokens: int = 4
+    text_tokens: int | None = None
     decode_steps: int = 8
     strategy: str = "dycoke"
-    drift: float = 0.05
+    drift: float | None = None
     scale: str = "head"
     dtype: str = "float64"
     timing: bool = False
@@ -92,22 +95,24 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("synthetic", "trace"):
             raise ValueError(f"mode must be 'synthetic' or 'trace', got {self.mode!r}")
-        if self.mode == "trace" and not self.trace_path:
-            raise ValueError("trace mode requires a trace path")
-        if self.mode == "synthetic" and self.trace_path:
-            raise ValueError("provide either a grid shape or a trace path, not both")
+        if (self.mode == "trace") != bool(self.trace_path):
+            raise ValueError("a trace-fed run needs a trace path, and a synthetic run none")
+        for name, default in SYNTHETIC_SHAPE.items():
+            if self.mode == "trace" and getattr(self, name) is not None:
+                raise ValueError(f"{name} is for synthetic input; a trace sets the run's shape")
+            if self.mode == "synthetic" and getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.mode == "synthetic" and (self.frames < 1 or self.tokens_per_frame < 1):
             raise ValueError("frames and tokens_per_frame must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.decode_steps < 1:
             raise ValueError(f"decode_steps must be >= 1, got {self.decode_steps}")
-        if self.text_tokens < 0:
+        if self.mode == "synthetic" and self.text_tokens < 0:
             raise ValueError("text_tokens must be >= 0")
-        if not np.isfinite(self.drift):
+        if self.mode == "synthetic" and not np.isfinite(self.drift):
             raise ValueError(f"drift must be finite, got {self.drift}")
-        if self.scale not in ("head", "full"):
-            raise ValueError(f"scale must be 'head' or 'full', got {self.scale!r}")
+        softmax_denom(self.scale, self.dims.hidden, self.dims.heads)  # raises on an unknown scale
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 

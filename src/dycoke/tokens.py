@@ -109,7 +109,7 @@ class CompressionConfig:
     heads      >= 1, echoed in reports only; no stage reads it (the decoder
                takes ModelDims.heads). simulate, sweep and bench set it to the
                model's head count; replay runs no model, so it keeps the default
-    seed       drives synthetic data, weights, and the random baseline
+    seed       >= 0; drives synthetic data, weights, and the random baseline
     merge_mode 'drop' discards the redundant token; 'mean' folds it into the
                kept counterpart by averaging (experimental)
     """
@@ -133,6 +133,8 @@ class CompressionConfig:
             raise ValueError(f"eval_layer must be >= 0, got {self.eval_layer}")
         if self.heads < 1:
             raise ValueError(f"heads must be >= 1, got {self.heads}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.merge_mode not in ("drop", "mean"):
             raise ValueError(f"merge_mode must be 'drop' or 'mean', got {self.merge_mode!r}")
 

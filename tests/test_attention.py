@@ -255,8 +255,10 @@ _SMALL = ModelDims(layers=2, hidden=8, ffn_inner=16, heads=2)
         # the width is checked before the cache is read
         (lambda: ToyDecoder(_SMALL).decode_step(np.ones(9), None, 0), DimensionMismatch,
          "embedding width 9 != 8"),
+        (lambda: attention_row(np.ones(4), np.ones((2, 4)), np.ones((2, 4)), 2, scale="bogus"),
+         ValueError, "scale must be 'head' or 'full'"),
     ],
-    ids=["scale", "embedding-width"],
+    ids=["scale", "embedding-width", "attention-row-scale"],
 )
 def test_decoder_rejects_bad_input(call, error, match):
     with pytest.raises(error, match=match):

@@ -166,6 +166,51 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, kind", [("--K-grid", "float"), ("--L-grid", "int"),
+                                        ("--P-grid", "float")])
+def test_sweep_unparsable_grid_exits_2(flag, kind, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", flag, "1,x", "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag}: '1,x' is not a list of {kind}s"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out_flag", [("simulate", "--report"), ("sweep", "--out")])
+@pytest.mark.parametrize("flag, field", [("--frames", "frames"),
+                                         ("--tokens-per-frame", "tokens_per_frame"),
+                                         ("--text-tokens", "text_tokens"), ("--drift", "drift")])
+def test_trace_fed_run_refuses_shape_flags(command, out_flag, flag, field, tmp_path, capsys):
+    # The trace sets the grid and text, so a synthetic-shape flag would be ignored.
+    trace = tmp_path / "in.dyck"
+    write_trace(trace, synth_grid(CompressionConfig(), 2, 4, 16), TextTokens.empty(16))
+    out = tmp_path / "out"
+    assert run_cli(command, "--trace", str(trace), "--dim", "16", "-R", "1", flag, "2",
+                   out_flag, str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} is for synthetic input")
+    assert not out.exists()
+
+
+def test_trace_fed_report_echoes_no_synthetic_shape(tmp_path):
+    # A 4x8 grid with 2 text rows: the report's shape is the trace's.
+    trace = tmp_path / "in.dyck"
+    write_trace(trace, synth_grid(CompressionConfig(), 4, 8, 16),
+                TextTokens(np.ones((2, 16), np.float32)))
+    out = tmp_path / "report.json"
+    assert run_cli("simulate", "--trace", str(trace), "--dim", "16", "-L", "1", "-R", "1",
+                   "--report", str(out)) == 0
+    report = json.loads(out.read_text())
+    spec = {name: report["spec"][name] for name in
+            ("frames", "tokens_per_frame", "text_tokens", "drift")}
+    assert spec == dict.fromkeys(spec)
+    assert (report["tokens"]["visual_total"], report["tokens"]["text"]) == (32, 2)
+
+
+def test_simulate_negative_seed_exits_2_with_one_line(capsys):
+    assert run_cli("simulate", "--seed", "-1", "--report", os.devnull) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+
 @pytest.mark.parametrize(
     "flag",
     [["--jobs", "2"], ["--timing"], ["-K", "0.5"], ["-L", "2"], ["-P", "0.5"]],
@@ -282,6 +327,17 @@ def test_replay_heads_flag_exits_2(tmp_path, capsys):
         run_cli("replay", "--trace", str(tmp_path / "any.dyck"), "--heads", "8")
     assert exc.value.code == 2
     assert "unrecognized arguments: --heads 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--merge-mode", "mean"]],
+                         ids=["seed", "merge-mode"])
+def test_replay_unused_flags_exit_2(flag, tmp_path, capsys):
+    # replay draws no random numbers and reads only which tokens a merge
+    # keeps, not the merged data, so neither flag would change its report.
+    with pytest.raises(SystemExit) as exc:
+        run_cli("replay", "--trace", str(tmp_path / "any.dyck"), *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_replay_missing_block_exits_2(tmp_path, capsys):

@@ -115,11 +115,20 @@ def test_trace_mode_matches_synthetic(tmp_path):
     path = tmp_path / "in.dyck"
     write_trace(path, grid, text)
     via_trace = run_simulation(
-        small_spec(mode="trace", trace_path=str(path), decode_steps=3)
+        RunSpec(config=spec.config, dims=spec.dims, mode="trace", trace_path=str(path),
+                decode_steps=3)
     )
     direct = run_simulation(spec)
     assert via_trace.decoded_ids == direct.decoded_ids
     np.testing.assert_array_equal(via_trace.hidden_states, direct.hidden_states)
+
+
+@pytest.mark.parametrize("name", list(simulate.SYNTHETIC_SHAPE))
+def test_trace_spec_rejects_synthetic_shape(name, tmp_path):
+    # A trace sets the grid and text, so a shape field would be ignored.
+    value = simulate.SYNTHETIC_SHAPE[name]  # even the synthetic default
+    with pytest.raises(ValueError, match=f"^{name} is for synthetic input"):
+        RunSpec(mode="trace", trace_path=str(tmp_path / "in.dyck"), **{name: value})
 
 
 def test_spec_validation_errors():
@@ -354,7 +363,8 @@ def test_sweep_reads_its_trace_once(monkeypatch, tmp_path):
         return real(path)
 
     monkeypatch.setattr(simulate.trace_io, "load_trace", recorded)
-    base = replace(spec, mode="trace", trace_path=str(path))
+    base = RunSpec(config=spec.config, dims=spec.dims, mode="trace", trace_path=str(path),
+                   decode_steps=1)
     rows = run_sweep(base, [0.3, 0.7], [1, 2], [0.5])
     assert [r["status"] for r in rows] == ["ok"] * 4
     assert reads == [str(path)]

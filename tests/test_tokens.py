@@ -146,8 +146,10 @@ def test_config_validation():
         {"eval_layer": -1},
         {"heads": 0},
         {"merge_mode": "average"},
+        {"seed": -1},  # numpy's seeding would refuse it without naming the field
     ):
-        with pytest.raises(ValueError):
+        (name,) = bad  # each message names the field
+        with pytest.raises(ValueError, match=name):
             CompressionConfig(**bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=name):
             replace(good, **bad)
