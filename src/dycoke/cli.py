@@ -37,37 +37,55 @@ def _write_jsonl(rows: list[dict], path: str) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _add_rate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-K", "--k-rate", type=float, default=0.7, help="stage-1 pruning rate")
-    p.add_argument("-L", "--eval-layer", type=int, default=3, help="attention evaluation layer")
-    p.add_argument("-P", "--p-rate", type=float, default=0.7, help="stage-2 pruning rate")
+# Every flag that more than one subcommand takes, defined once under its dest.
+# Its default is simulate's (or, for a flag simulate lacks, its subcommands');
+# a subcommand that differs sets its own with set_defaults, and a help text or
+# ``required`` passed to _add replaces the entry's.
+_SHARED: dict[str, dict] = {
+    "k_rate": {"flags": ("-K", "--k-rate"), "type": float, "default": 0.7,
+               "help": "stage-1 pruning rate"},
+    "eval_layer": {"flags": ("-L", "--eval-layer"), "type": int, "default": 3,
+                   "help": "attention evaluation layer"},
+    "p_rate": {"flags": ("-P", "--p-rate"), "type": float, "default": 0.7,
+               "help": "stage-2 pruning rate"},
+    "window_len": {"flags": ("--window",), "metavar": "WINDOW", "type": int, "default": 4,
+                   "help": "sliding window length in frames"},
+    "merge_mode": {"flags": ("--merge-mode",), "choices": ("drop", "mean"), "default": "drop"},
+    "seed": {"flags": ("--seed",), "type": int, "default": 0},
+    "dim": {"flags": ("--dim",), "type": int, "default": 64,
+            "help": "hidden size (and grid token dim)"},
+    "layers": {"flags": ("--layers",), "type": int, "default": 6},
+    "ffn": {"flags": ("--ffn",), "type": int, "help": "FFN inner size (default 2*dim)"},
+    "heads": {"flags": ("--heads",), "type": int, "default": 4},
+    "scale": {"flags": ("--scale",), "choices": ("head", "full"), "default": "head",
+              "help": "softmax scaling: sqrt(head_dim) or sqrt(hidden)"},
+    "dtype": {"flags": ("--dtype",), "choices": simulate.DTYPES, "default": "float64"},
+    "frames": {"flags": ("--frames",), "type": int},
+    "tokens_per_frame": {"flags": ("--tokens-per-frame",), "type": int},
+    "text_tokens": {"flags": ("--text-tokens",), "type": int},
+    "drift": {"flags": ("--drift",), "type": float,
+              "help": "frame-to-frame perturbation scale for synthetic grids"},
+    "trace": {"flags": ("--trace",), "help": "replay embeddings from a trace file"},
+    "steps": {"flags": ("-R", "--steps"), "type": int, "default": 8},
+    "strategy": {"flags": ("--strategy",), "choices": simulate.STRATEGIES, "default": "dycoke"},
+    "model": {"flags": ("--model",), "choices": (*MODEL_PRESETS, "custom"), "default": "7b"},
+    "d": {"flags": ("--d",), "type": int, "help": "hidden size (custom model)"},
+    "m": {"flags": ("--m",), "type": int, "help": "FFN inner size (custom model)"},
+    "report": {"flags": ("--report",)},
+    "audit_log": {"flags": ("--audit-log",)},
+}
+_RATES = ("k_rate", "eval_layer", "p_rate", "window_len")
+_SHAPE = ("frames", "tokens_per_frame", "text_tokens")
+# Runs that feed data through the toy model; replay runs no model.
+_MODEL = ("merge_mode", "seed", "dim", "layers", "ffn", "heads", "scale", "dtype")
+_INPUT = (*_SHAPE, "drift", "trace")
 
 
-def _add_window_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", dest="window_len", metavar="WINDOW", type=int, default=4,
-                   help="sliding window length in frames")
-
-
-def _add_model_flags(p: argparse.ArgumentParser, layers_default: int = 6) -> None:
-    """Flags of runs that feed data through the toy model; replay runs no model."""
-    p.add_argument("--merge-mode", choices=("drop", "mean"), default="drop")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=64, help="hidden size (and grid token dim)")
-    p.add_argument("--layers", type=int, default=layers_default)
-    p.add_argument("--ffn", type=int, default=None, help="FFN inner size (default 2*dim)")
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--scale", choices=("head", "full"), default="head",
-                   help="softmax scaling: sqrt(head_dim) or sqrt(hidden)")
-    p.add_argument("--dtype", choices=simulate.DTYPES, default="float64")
-
-
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--frames", type=int)
-    p.add_argument("--tokens-per-frame", type=int)
-    p.add_argument("--text-tokens", type=int)
-    p.add_argument("--drift", type=float,
-                   help="frame-to-frame perturbation scale for synthetic grids")
-    p.add_argument("--trace", default=None, help="replay embeddings from a trace file")
+def _add(p: argparse.ArgumentParser, *names: str, **keywords) -> None:
+    """Add the shared flags ``names`` to ``p`` in order, ``keywords`` over each one's own."""
+    for name in names:
+        entry = _SHARED[name] | keywords
+        p.add_argument(*entry.pop("flags"), dest=name, **entry)
 
 
 def _config_from(args, **fixed) -> CompressionConfig:
@@ -77,19 +95,11 @@ def _config_from(args, **fixed) -> CompressionConfig:
     return CompressionConfig(**given | fixed)
 
 
-def _dims_from(args) -> ModelDims:
-    return ModelDims(
-        layers=args.layers,
-        hidden=args.dim,
-        ffn_inner=args.ffn if args.ffn is not None else 2 * args.dim,
-        heads=args.heads,
-    )
-
-
 def _spec_from(args, timing: bool = False) -> simulate.RunSpec:
     return simulate.RunSpec(
         config=_config_from(args),
-        dims=_dims_from(args),
+        dims=ModelDims(layers=args.layers, hidden=args.dim, heads=args.heads,
+                       ffn_inner=args.ffn if args.ffn is not None else 2 * args.dim),
         mode="trace" if args.trace else "synthetic",
         trace_path=args.trace,
         decode_steps=args.steps,
@@ -97,8 +107,13 @@ def _spec_from(args, timing: bool = False) -> simulate.RunSpec:
         scale=args.scale,
         dtype=args.dtype,
         timing=timing,
-        **{name: getattr(args, name) for name in simulate.SYNTHETIC_SHAPE},
+        **_shape_from(args),
     )
+
+
+def _shape_from(args) -> dict:
+    """The synthetic-shape flags given; a shape field the subcommand has no flag for stays unset."""
+    return {name: getattr(args, name, None) for name in simulate.SYNTHETIC_SHAPE}
 
 
 def _model_dims(args, heads: int | None, custom_heads: int) -> ModelDims:
@@ -173,12 +188,12 @@ def cmd_replay(args) -> int:
 
 def cmd_cost(args) -> int:
     dims = _model_dims(args, heads=None, custom_heads=1)
-    config = _config_from(args)
-    if args.frames < 1 or args.tokens_per_frame < 1:
-        raise ValueError("frames and tokens_per_frame must be >= 1")
-    n_visual = args.frames * args.tokens_per_frame
+    # the run this report models must be one simulate would accept
+    spec = simulate.RunSpec(config=_config_from(args), dims=dims, decode_steps=args.steps,
+                            **_shape_from(args))
+    n_visual = spec.frames * spec.tokens_per_frame
     report = costmodel.compression_report(
-        config, dims, n_visual, n_text=args.text_tokens, decode_steps=args.steps
+        spec.config, dims, n_visual, n_text=spec.text_tokens, decode_steps=spec.decode_steps
     )
     full_pre, full_dec = report.full
     _emit(
@@ -234,83 +249,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one end-to-end compression simulation")
-    _add_rate_flags(p)
-    _add_window_flag(p)
-    _add_model_flags(p)
-    _add_input_flags(p)
-    p.add_argument("-R", "--steps", type=int, default=8, help="decode steps")
-    p.add_argument("--strategy", choices=simulate.STRATEGIES, default="dycoke")
-    p.add_argument("--report", default=None, help="report path (stdout if omitted)")
-    p.add_argument("--audit-log", default=None, help="retention decisions as JSON lines")
-    p.add_argument("--merge-log", default=None, help="stage-1 merge records as JSON lines")
+    _add(p, *_RATES, *_MODEL, *_INPUT)
+    _add(p, "steps", help="decode steps")
+    _add(p, "strategy")
+    _add(p, "report", help="report path (stdout if omitted)")
+    _add(p, "audit_log", help="retention decisions as JSON lines")
+    p.add_argument("--merge-log", help="stage-1 merge records as JSON lines")
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timings (report no longer byte-stable)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("sweep", help="cross-product sweep over the K, L and P grids")
-    _add_window_flag(p)
-    _add_model_flags(p, layers_default=12)
-    _add_input_flags(p)
-    p.add_argument("-R", "--steps", type=int, default=8)
-    p.add_argument("--strategy", choices=simulate.STRATEGIES, default="dycoke")
+    _add(p, "window_len", *_MODEL, *_INPUT, "steps", "strategy")
     p.add_argument("--K-grid", default="0.3,0.5,0.7")
     p.add_argument("--L-grid", default="3")
     p.add_argument("--P-grid", default="0.7")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--out", help="output path (stdout if omitted)")
+    p.set_defaults(func=cmd_sweep, parser=p, layers=12)
 
     p = sub.add_parser("replay", help="drive retention from recorded attention rows")
-    _add_rate_flags(p)
-    _add_window_flag(p)
-    p.add_argument("--trace", required=True)
-    p.add_argument("--report", default=None)
-    p.add_argument("--audit-log", default=None)
-    p.set_defaults(func=cmd_replay)
+    _add(p, *_RATES)
+    _add(p, "trace", required=True, help=None)
+    _add(p, "report", "audit_log")
+    p.set_defaults(func=cmd_replay, parser=p)
 
     p = sub.add_parser("cost", help="analytic FLOPs and retained-ratio report")
-    p.add_argument("--model", choices=(*MODEL_PRESETS, "custom"), default="7b")
-    p.add_argument("--d", type=int, default=None, help="hidden size (custom model)")
-    p.add_argument("--m", type=int, default=None, help="FFN inner size (custom model)")
-    p.add_argument("--layers", type=int, default=None,
-                   help="layer count (default: the preset's; required for custom)")
-    p.add_argument("--frames", type=int, default=32)
-    p.add_argument("--tokens-per-frame", type=int, default=196)
-    p.add_argument("--text-tokens", type=int, default=0)
-    p.add_argument("-K", "--k-rate", type=float, default=0.7)
-    p.add_argument("-P", "--p-rate", type=float, default=0.7)
-    p.add_argument("-R", "--steps", type=int, default=100)
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_cost)
+    _add(p, "model", "d", "m")
+    _add(p, "layers", help="layer count (default: the preset's; required for custom)")
+    _add(p, *_SHAPE, "k_rate", "p_rate", "steps", "report")
+    p.set_defaults(func=cmd_cost, parser=p, layers=None, frames=32, tokens_per_frame=196,
+                   text_tokens=0, steps=100)
 
     p = sub.add_parser("bench", help="decode-step wall-clock comparison")
-    p.add_argument("--model", choices=(*MODEL_PRESETS, "custom"), default="7b")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--layers", type=int, default=2,
-                   help="layer count (default 2: per-step cost scales linearly in layers)")
-    p.add_argument("--heads", type=int, default=None,
-                   help="head count (default: the preset's; 4 for custom)")
-    p.add_argument("-K", "--k-rate", type=float, default=0.7)
-    p.add_argument("-L", "--eval-layer", type=int, default=0)
-    p.add_argument("-P", "--p-rate", type=float, default=0.7)
-    p.add_argument("--window", dest="window_len", metavar="WINDOW", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames", type=int, default=32)
-    p.add_argument("--tokens-per-frame", type=int, default=196)
-    p.add_argument("--text-tokens", type=int, default=4)
-    p.add_argument("--steps", type=int, default=12)
+    _add(p, "model", "d", "m")
+    _add(p, "layers", help="layer count (default 2: per-step cost scales linearly in layers)")
+    _add(p, "heads", help="head count (default: the preset's; 4 for custom)")
+    _add(p, *_RATES, "seed", *_SHAPE, "steps")
     p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--dtype", choices=simulate.DTYPES, default="float32")
+    _add(p, "dtype")
     p.add_argument("--strategies", default="none,dycoke")
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_bench)
+    _add(p, "report")
+    p.set_defaults(func=cmd_bench, parser=p, layers=2, heads=None, eval_layer=0, frames=32,
+                   tokens_per_frame=196, text_tokens=4, steps=12, dtype="float32")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, stray = build_parser().parse_known_args(argv)
+    if stray:  # named by the subcommand's parser, whose usage lists the flags it takes
+        args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     try:
         return args.func(args)
     except dynkv.InvariantViolation as exc:

@@ -67,7 +67,13 @@ class VisualTokenGrid:
         return self.data[start : start + self.tokens_per_frame]
 
     def all_token_ids(self) -> list[TokenId]:
-        return [self.token_id(r) for r in range(self.total_tokens)]
+        return row_token_ids(np.arange(self.total_tokens), self.tokens_per_frame)
+
+
+def row_token_ids(rows: np.ndarray, tokens_per_frame: int) -> list[TokenId]:
+    """The TokenId of each row of a grid ``tokens_per_frame`` wide, as plain ints."""
+    frames, positions = np.divmod(rows, tokens_per_frame)
+    return list(map(TokenId, frames.tolist(), positions.tolist()))
 
 
 @dataclass(frozen=True)

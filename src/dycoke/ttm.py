@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tokens import CompressionConfig, TokenId, VisualTokenGrid
+from .tokens import CompressionConfig, TokenId, VisualTokenGrid, row_token_ids
 
 ZERO_NORM_EPS = 1e-12
 
@@ -61,12 +61,8 @@ class TtmResult:
     @property
     def records(self) -> list[MergeRecord]:
         n_v = self.tokens_per_frame
-        return [
-            MergeRecord(TokenId(*divmod(r, n_v)), TokenId(*divmod(k, n_v)), sim)
-            for r, k, sim in zip(
-                self.removed_rows.tolist(), self.kept_as_rows.tolist(), self.similarities.tolist()
-            )
-        ]
+        return list(map(MergeRecord, row_token_ids(self.removed_rows, n_v),
+                        row_token_ids(self.kept_as_rows, n_v), self.similarities.tolist()))
 
 
 def partition_windows(frames: int, window_len: int) -> tuple[tuple[int, ...], ...]:
@@ -133,8 +129,8 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
             sims = np.zeros(n_v, dtype=np.float64)
             np.divide(dots, norms[offset] * norms[ref], out=sims, where=ok)
             sims = np.clip(sims, -1.0, 1.0)
-            # Sort by similarity descending, position ascending on ties.
-            take = np.lexsort((np.arange(n_v), -sims))[:quota]
+            # Sort by similarity descending; a stable sort keeps ties in position order.
+            take = np.argsort(-sims, kind="stable")[:quota]
             merged = start + offset * n_v + take
             kept_as[merged] = start + ref * n_v + take
             removed.append(merged)
@@ -158,7 +154,7 @@ def apply_ttm(grid: VisualTokenGrid, config: CompressionConfig) -> TtmResult:
         data = (acc / counts[:, None]).astype(np.float32)
 
     return TtmResult(
-        token_ids=[TokenId(*divmod(r, n_v)) for r in survivors.tolist()],
+        token_ids=row_token_ids(survivors, n_v),
         data=data,
         retained_ratio=len(survivors) / grid.total_tokens,
         rows=survivors,

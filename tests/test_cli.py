@@ -340,6 +340,20 @@ def test_replay_unused_flags_exit_2(flag, tmp_path, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["sweep"], ["replay", "--trace", "any.dyck"], ["cost"], ["bench"]],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_flag_shows_the_subcommands_usage(argv, capsys):
+    # The subcommand's own usage lists the flags it does take.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--no-such-flag", "1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: dycoke {argv[0]} [-h]")
+    assert err[-1] == f"dycoke {argv[0]}: error: unrecognized arguments: --no-such-flag 1"
+
+
 def test_replay_missing_block_exits_2(tmp_path, capsys):
     cfg = CompressionConfig(seed=0)
     grid = synth_grid(cfg, 2, 4, 8)
@@ -370,6 +384,24 @@ def test_bench_smoke(tmp_path):
     none_rows = strategies["0:none"]["active_visual_rows_pruned_layers"]
     dycoke_rows = strategies["1:dycoke"]["active_visual_rows_pruned_layers"]
     assert dycoke_rows < none_rows
+
+
+def test_bench_R_is_steps(tmp_path):
+    # bench spells its step count -R as well, like simulate, sweep and cost.
+    reports = []
+    for flag in ("-R", "--steps"):
+        path = tmp_path / f"bench{flag}.json"
+        assert run_cli("bench", "--model", "custom", "--d", "32", "--m", "64", "--frames", "4",
+                       "--tokens-per-frame", "8", flag, "2", "--warmup", "0",
+                       "--report", str(path)) == 0
+        report = json.loads(path.read_text())
+        for name in ("speedup", "ttm_seconds"):
+            del report[name]
+        for row in report["strategies"].values():
+            del row["mean_step_s"], row["median_step_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["spec"]["steps"] == 2
 
 
 def test_bench_preset_honours_heads(tmp_path):
@@ -461,7 +493,7 @@ def test_custom_zero_dims_reach_dims_check(argv, capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        (["--text-tokens", "-5"], "token counts must be >= 0"),
+        (["--text-tokens", "-5"], "text_tokens must be >= 0"),
         (["--frames", "-1", "--text-tokens", "500"], "frames and tokens_per_frame must be >= 1"),
         (["--frames", "0"], "frames and tokens_per_frame must be >= 1"),
         (["--tokens-per-frame", "0"], "frames and tokens_per_frame must be >= 1"),

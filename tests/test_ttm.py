@@ -366,3 +366,21 @@ def test_apply_ttm_matches_per_pair_reference(case):
         (int, int, int, int, float)
     ] * len(records)
     assert np.float64(res.retained_ratio).tobytes() == np.float64(ratio).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ttm_cases())
+def test_apply_ttm_arrays_match_per_pair_reference_bit_for_bit(case):
+    # The stable argsort and the vectorised row -> TokenId map against the
+    # reference's lexsort and per-row divmod: the same rows, similarity bits and ids.
+    grid, config = case
+    _, _, _, records, _ = per_pair_ttm(grid, config)
+    res = apply_ttm(grid, config)
+    assert [grid.row_index(r.removed) for r in records] == res.removed_rows.tolist()
+    assert [grid.row_index(r.kept_as) for r in records] == res.kept_as_rows.tolist()
+    sims = np.array([r.similarity for r in records], dtype=np.float64)
+    assert sims.tobytes() == res.similarities.tobytes()
+    ids = grid.all_token_ids()
+    n_v = grid.tokens_per_frame
+    assert ids == [TokenId(*divmod(r, n_v)) for r in range(grid.total_tokens)]
+    assert all(type(v) is int for t in ids for v in t)

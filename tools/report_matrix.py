@@ -11,7 +11,8 @@ The runs, all at small shapes:
 - replay report and audit log at two settings;
 - the exit of three runs given an input they would ignore: ``--frames`` to a
   trace-fed simulate, ``--drift`` to a trace-fed sweep and ``--seed`` to replay;
-- two cost reports and two bench reports;
+- two cost reports and two bench reports, plus the exit of a bench given
+  ``-R 2`` and of a cost given ``--text-tokens -1``;
 - sweep CSV and JSON, synthetic and trace-fed, with one error cell;
 - the five subcommands' ``--help`` texts.
 
@@ -137,8 +138,11 @@ def write_matrix(out: Path) -> None:
     _run(out, trace, "cost-custom",
          ["cost", "--model", "custom", "--d", "64", "--m", "128", "--layers", "3", *GRID,
           "--text-tokens", "4", "-K", "0.5", "-P", "0.5", "-R", "8"], report="json")
+    _run(out, trace, "cost-text-negative",
+         ["cost", "--model", "7b", "--text-tokens", "-1", "--report", os.devnull])
 
     _run(out, trace, "bench-default", ["bench", *BENCH, "--layers", "2"], report="json")
+    _run(out, trace, "bench-R", ["bench", *BENCH, "-R", "2", "--report", os.devnull])
     _run(out, trace, "bench-baselines",
          ["bench", *BENCH, "--layers", "3", "--heads", "2", "-L", "1", "-K", "0.5", "-P", "0.5",
           "--window", "2", "--seed", "4", "--dtype", "float64", "--strategies", "one_shot,random"],
