@@ -5,6 +5,10 @@ projections, cached multi-head attention, an output projection, and a ReLU
 FFN so decode-step wall clock has the same shape as the cost model. No
 residual streams, no normalization, no training. Everything is derived from
 (seed, layer), so a (seed, config) pair fully determines all outputs.
+
+``ToyDecoder._layers`` is the one layer body: Q/K/V, the caller's attention,
+then the FFN. Prefill and ``forward_full`` pass causal tiles (prefill's top
+layer attends its last row only); decode passes its cache.
 """
 
 from __future__ import annotations
@@ -128,30 +132,34 @@ def layer_weights(dims: ModelDims, seed: int, layer: int, dtype=np.float64) -> L
 
 
 def project_qkv(
-    hidden_states: np.ndarray, weights: LayerWeights
+    hidden_states: np.ndarray, weights: LayerWeights, last_q: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linear Q/K/V projections of a token matrix, over row blocks in threads.
 
     The blocks follow ``_row_blocks``, so each output row has the bits of
-    the whole-matrix product. Call it from one thread: perfbench's tracer
-    wraps it by name, and its span stack is not thread-safe.
+    the whole-matrix product; ``last_q`` is as in ``_qkv_rows``. Call it
+    from one thread: perfbench's tracer wraps it by name, and its span
+    stack is not thread-safe.
     """
     h = np.atleast_2d(hidden_states)
     if h.shape[1] != weights.w_q.shape[0]:
         raise DimensionMismatch(
             f"hidden width {h.shape[1]} != projection width {weights.w_q.shape[0]}"
         )
-    return _qkv_rows(h, weights)
+    return _qkv_rows(h, weights, last_q)
 
 
-def _qkv_rows(h: np.ndarray, weights: LayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _qkv_rows(
+    h: np.ndarray, weights: LayerWeights, last_q: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``h @ w_q``, ``h @ w_k``, ``h @ w_v`` for every row of the (n, d) ``h``, unchecked.
 
-    Shared by prefill, through ``project_qkv``, and by decode, which calls
-    it directly on its one row so that the tracer's ``project_qkv`` span
-    holds prefill time only.
+    With ``last_q``, Q is the last row's alone, from the two-row gemm
+    ``h[-2:] @ w_q``, which keeps the whole product's bits (``_row_blocks``).
+    The causal passes reach this through ``project_qkv``; decode calls it
+    directly, so the tracer's ``project_qkv`` span holds prefill time only.
     """
-    mats = (weights.w_q, weights.w_k, weights.w_v)
+    mats = (weights.w_k, weights.w_v) if last_q else (weights.w_q, weights.w_k, weights.w_v)
     outs = tuple(np.empty((h.shape[0], w.shape[1]), np.result_type(h, w)) for w in mats)
 
     def block(lo: int, hi: int) -> None:
@@ -159,23 +167,12 @@ def _qkv_rows(h: np.ndarray, weights: LayerWeights) -> tuple[np.ndarray, np.ndar
             np.matmul(h[lo:hi], w, out=out[lo:hi])
 
     _row_blocks(block, h.shape[0])
-    return outs
+    return ((h[-2:] @ weights.w_q)[-1:], *outs) if last_q else outs
 
 
 # Query rows per prefill tile. At 3k rows, d=128, 4 heads, float64 and one
 # BLAS thread, 64 was fastest of 16-512 (32 and 128 within noise of it).
 _PREFILL_BLOCK = 64
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place; ``x`` must be float64.
-
-    float64 keeps row sums within 1e-6 even for float32 inputs.
-    """
-    x -= x.max(axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
 
 
 def _cpus() -> int:
@@ -301,10 +298,9 @@ def _causal_attention(
 def _ffn_rows(ctx: np.ndarray, weights: LayerWeights) -> np.ndarray:
     """``relu(ctx @ w_o @ ffn_in) @ ffn_out`` for every row, over ``_row_blocks`` in threads.
 
-    Prefill passes all of a layer's rows; prefill's top layer and decode
-    pass their one row. The calling thread allocates one (n, d) and one
-    (n, ffn_inner) buffer; the output reuses the first, whose rows are
-    spent by then.
+    The last step of ``ToyDecoder._layers``, over a prefill layer's rows or
+    one row. The calling thread allocates one (n, d) and one (n, ffn_inner)
+    buffer; the output reuses the first, whose rows are spent by then.
     """
     n = ctx.shape[0]
     dtype = np.result_type(ctx, weights.w_o)
@@ -346,23 +342,23 @@ def _attend(
         n = k_seg.shape[0]
         logits[:, pos : pos + n] = (k_seg.reshape(n, heads, hd).transpose(1, 0, 2) @ qh)[:, :, 0]
         pos += n
+    # the softmax, in place: float64 keeps row sums within 1e-6 for float32 keys too
     logits /= denom
-    scores = _softmax_rows(logits)  # (heads, total), in place
-    weights = scores.astype(dtype, copy=False)[:, None, :]  # (heads, 1, total)
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    weights = logits.astype(dtype, copy=False)[:, None, :]  # (heads, 1, total)
     out = np.zeros((heads, 1, hd), dtype=dtype)
     pos = 0
     for _, v_seg in segments:
         n = v_seg.shape[0]
         out += weights[:, :, pos : pos + n] @ v_seg.reshape(n, heads, hd).transpose(1, 0, 2)
         pos += n
-    return out.reshape(d), scores
+    return out.reshape(d), logits
 
 
 def attention_segments(
-    query: np.ndarray,
-    segments: list[tuple[np.ndarray, np.ndarray]],
-    heads: int,
-    scale: str = "head",
+    query: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray]], heads: int, scale: str = "head"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-query multi-head attention over concatenated key/value segments.
 
@@ -399,11 +395,7 @@ def softmax_denom(scale: str, hidden: int, heads: int) -> float:
 
 
 def attention_row(
-    query: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    heads: int,
-    scale: str = "head",
+    query: np.ndarray, keys: np.ndarray, values: np.ndarray, heads: int, scale: str = "head"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-query attention over one contiguous key/value matrix."""
     return attention_segments(query, [(keys, values)], heads, scale)
@@ -452,40 +444,49 @@ class ToyDecoder:
     # -- full-sequence pass -------------------------------------------------
 
     def forward_full(self, rows: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-        """Causal pass over a whole sequence.
+        """Causal pass over a whole sequence; the no-cache reference path.
 
-        Returns per-layer (K, V) matrices for caching plus the final-layer
-        hidden state of every position; the no-cache reference path.
-        Attention runs in tiles of query rows, each against its key prefix
-        only, so working memory is O(heads * tile * n) rather than O(n^2).
-        When BLAS leaves cores idle, the heads of the attention and the row
-        blocks of the projection and FFN GEMMs are split over threads.
+        Returns per-layer (K, V) for caching and every position's final
+        hidden state. Attention runs in tiles of query rows against their
+        key prefix, so working memory is O(heads * tile * n), not O(n^2).
+        When BLAS leaves cores idle, heads and GEMM row blocks run in threads.
         """
-        return self._causal_layers(np.ascontiguousarray(rows, dtype=self.dtype), self.layers)
+        return self._causal(rows, top=-1)
 
-    def _causal_layers(
-        self, h: np.ndarray, layers: list[LayerWeights]
-    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    def _causal(self, rows: np.ndarray, top: int) -> tuple[list, np.ndarray]:
+        """Every layer over every row in causal tiles; layer ``top`` attends the last row only."""
         kvs = []
-        for weights in layers:
-            q, k, v = project_qkv(h, weights)
+
+        def attend(layer: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
             kvs.append((k, v))
-            h = _ffn_rows(_causal_attention(q, k, v, self.dims.heads, self._denom), weights)
-        return kvs, h
+            if layer == top:
+                return _attend(q[-1], [(k, v)], self.dims.heads, self._denom)[0][None]
+            return _causal_attention(q, k, v, self.dims.heads, self._denom)
+
+        return kvs, self._layers(rows, project_qkv, attend, top)
+
+    def _layers(self, h: np.ndarray, project, attend, top: int = -1) -> np.ndarray:
+        """Every layer over the (n, d) rows ``h``, bottom up: the only code that composes a layer.
+
+        Each layer runs ``project(h, weights, layer == top)`` (the flag is
+        ``_qkv_rows``'s ``last_q``), then ``attend(layer, q, k, v)``, which
+        stores K/V for its caller and returns the context rows, then ``_ffn_rows``.
+        """
+        h = np.ascontiguousarray(h, dtype=self.dtype)  # a converted copy is freed after layer 0
+        for layer, weights in enumerate(self.layers):
+            q, k, v = project(h, weights, layer == top)
+            h = _ffn_rows(attend(layer, q, k, v), weights)
+        return h
 
     def prefill(self, rows: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
         """Process the prompt; returns per-layer KV plus the last position's output.
 
-        Matches ``forward_full``'s last hidden row up to rounding, but only
-        the last row runs the top layer's attention and FFN; every layer's
-        K/V are computed for all rows, bit-identical to ``forward_full``'s.
+        The K/V are ``forward_full``'s, bit for bit, and the output its last row
+        up to rounding: the top layer projects Q, attends and runs its FFN for
+        the last row only.
         """
-        *below, top = self.layers
-        kvs, h = self._causal_layers(np.ascontiguousarray(rows, dtype=self.dtype), below)
-        q, k, v = project_qkv(h, top)
-        kvs.append((k, v))
-        ctx, _ = _attend(q[-1], [(k, v)], self.dims.heads, self._denom)
-        return kvs, _ffn_rows(ctx[None], top)[0]
+        kvs, h = self._causal(rows, top=len(self.layers) - 1)
+        return kvs, h[0]
 
     # -- incremental decode ---------------------------------------------------
 
@@ -499,26 +500,23 @@ class ToyDecoder:
         already visible to the layers above the eval layer in this same step.
         Returns (hidden_out, snapshot).
         """
-        h = np.asarray(embedding, dtype=self.dtype).reshape(-1)
-        if h.shape[0] != self.dims.hidden:
-            raise DimensionMismatch(f"embedding width {h.shape[0]} != {self.dims.hidden}")
+        h = np.asarray(embedding, dtype=self.dtype).reshape(1, -1)
+        if h.shape[1] != self.dims.hidden:
+            raise DimensionMismatch(f"embedding width {h.shape[1]} != {self.dims.hidden}")
         snapshot = None
-        for layer_idx, weights in enumerate(self.layers):
-            (q,), (k,), (v,) = _qkv_rows(h[None], weights)
-            cache.append_generated(layer_idx, k, v)
-            segments, n_visual = cache.segments_for(layer_idx)
-            out, _, avg_row = attention_segments(q, segments, self.dims.heads, self.scale)
-            if layer_idx == cache.eval_layer:
-                snapshot = AttentionSnapshot(
-                    step=step,
-                    layer=layer_idx,
-                    scores=avg_row[:n_visual].copy(),
-                    token_ids=cache.token_ids,
-                )
+
+        def attend(layer: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+            nonlocal snapshot
+            cache.append_generated(layer, k[0], v[0])
+            segments, n_visual = cache.segments_for(layer)
+            out, _, avg_row = attention_segments(q[0], segments, self.dims.heads, self.scale)
+            if layer == cache.eval_layer:
+                snapshot = AttentionSnapshot(step, layer, avg_row[:n_visual].copy(), cache.token_ids)
                 if on_snapshot is not None:
                     on_snapshot(snapshot)
-            h = _ffn_rows(out[None], weights)[0]
-        return h, snapshot
+            return out[None]
+
+        return self._layers(h, _qkv_rows, attend)[0], snapshot
 
     def select_token(self, hidden: np.ndarray) -> tuple[int, np.ndarray]:
         """Greedy next token: argmax over the seeded output projection."""

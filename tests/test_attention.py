@@ -22,6 +22,7 @@ from dycoke.attention import (
     attention_segments,
     layer_weights,
     project_qkv,
+    softmax_denom,
 )
 from dycoke.dynkv import DualCache, retention_quota, initial_prune, dynamic_swap
 from dycoke.tokens import CompressionConfig, TokenId
@@ -430,6 +431,10 @@ def test_causal_attention_first_row_is_its_value(n, denom):
     dtype=st.sampled_from([np.float64, np.float32]),
     seed=st.integers(0, 2**16),
 )
+@example(n=1, layers=1, heads=4, scale="head", dtype=np.float64, seed=0)
+@example(n=2, layers=2, heads=2, scale="full", dtype=np.float32, seed=1)
+@example(n=3, layers=3, heads=1, scale="head", dtype=np.float32, seed=2)
+@example(n=3, layers=2, heads=4, scale="full", dtype=np.float64, seed=3)
 def test_prefill_matches_forward_full_last_row(n, layers, heads, scale, dtype, seed):
     # prefill runs the top layer's attention and FFN for the last row only
     dec = ToyDecoder(ModelDims(layers, 16, 32, heads), seed=seed, scale=scale, dtype=dtype)
@@ -439,8 +444,21 @@ def test_prefill_matches_forward_full_last_row(n, layers, heads, scale, dtype, s
     for (k, v), (k_ref, v_ref) in zip(kvs, kvs_ref, strict=True):
         assert np.array_equal(k, k_ref) and np.array_equal(v, v_ref)
     assert last.dtype == dtype and last.shape == (16,)
+    assert last.tobytes() == prefill_reference(dec, rows).tobytes()
     atol = 1e-12 if dtype is np.float64 else 1e-5
     np.testing.assert_allclose(last, hidden_ref[-1], rtol=0, atol=atol)
+
+
+def prefill_reference(dec: ToyDecoder, rows: np.ndarray) -> np.ndarray:
+    """Prefill's last row: the layers below the top from ``forward_full``, then
+    the top layer's full Q, its last row attending the whole prefix, and the FFN."""
+    below = copy.copy(dec)
+    below.layers = dec.layers[:-1]
+    top = dec.layers[-1]
+    q, k, v = project_qkv(below.forward_full(rows)[1], top)
+    denom = softmax_denom(dec.scale, dec.dims.hidden, dec.dims.heads)
+    ctx, _ = attention._attend(q[-1], [(k, v)], dec.dims.heads, denom)
+    return attention._ffn_rows(ctx[None], top)[0]
 
 
 def test_prefill_rejects_wrong_width():
@@ -722,18 +740,20 @@ def test_project_qkv_once_per_layer_on_calling_thread(monkeypatch):
     calls = []
     original = attention.project_qkv
 
-    def recorded(h, weights):
-        calls.append(threading.get_ident())
-        return original(h, weights)
+    def recorded(h, weights, last_q=False):
+        calls.append((threading.get_ident(), last_q))
+        return original(h, weights, last_q)
 
     monkeypatch.setattr(attention, "project_qkv", recorded)
     dec = ToyDecoder(ModelDims(layers=3, hidden=16, ffn_inner=32, heads=4), seed=5)
     rows = np.random.default_rng(5).standard_normal((90, 16))
     dec.forward_full(rows)
-    assert calls == [threading.get_ident()] * 3
+    me = threading.get_ident()
+    assert calls == [(me, False)] * 3
     calls.clear()
+    # prefill's top layer projects Q for its last row only
     kvs, last = dec.prefill(rows)
-    assert calls == [threading.get_ident()] * 3
+    assert calls == [(me, False), (me, False), (me, True)]
 
     # Decode projects its row without project_qkv, so perfbench's
     # prefill_qkv span holds no decode time, and calls attention_segments

@@ -3,6 +3,7 @@ one tiny pass of each workload must run and keep stage 1's survivors."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,36 @@ def test_workload_tiny_pass_keeps_stage1_survivors(name, tmp_path, monkeypatch):
     expect = checks.stage1_survivors(w.grid.data, w.frames, w.tpf, w.config.k_rate, w.config.window_len)
     np.testing.assert_array_equal(checks.encode(results[0].token_ids, w.tpf), expect)
     assert results[0].retained_count == len(expect)
+
+
+@pytest.mark.parametrize("name", ["prefill_video", "decode_long"])
+def test_traced_tiny_pass_span_counts(name, tmp_path, monkeypatch):
+    # attention.prefill_qkv_ms and attention.decode_proj_ffn_ms read these
+    # spans: one project_qkv per prefill layer, one decode_step per step, and
+    # one eval-layer or pruned-layer attention per layer and step.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        probe = importlib.import_module("probe")
+        workloads = importlib.import_module("workloads")
+        w = workloads.WORKLOADS[name](0, tiny=True)
+        w.setup(str(tmp_path))
+        tracer, patches = probe.Tracer(), probe.Patches()
+        tracer.install(patches)
+        try:
+            w.run_pass()
+        finally:
+            patches.undo()
+    finally:
+        for module in ("probe", "workloads", "checks"):
+            sys.modules.pop(module, None)
+    spans = Counter(span[0] for span in tracer.spans)
+    layers, steps, full = w.dims.layers, w.steps, w.config.eval_layer + 1
+    prefills = 1 if name == "prefill_video" else 0
+    assert spans["attention.prefill"] == prefills
+    assert spans["attention.project_qkv"] == prefills * layers
+    assert spans["attention.decode_step"] == steps
+    assert spans["attention.decode_eval"] == full * steps
+    assert spans["attention.decode_eval"] + spans["attention.decode_pruned"] == layers * steps
 
 
 def test_kv_bytes_of_recorded_caches(tmp_path, monkeypatch):
