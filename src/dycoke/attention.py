@@ -320,11 +320,15 @@ def _ffn_rows(ctx: np.ndarray, weights: LayerWeights) -> np.ndarray:
 def _attend(
     q: np.ndarray, segments: list[tuple[np.ndarray, np.ndarray]], heads: int, denom: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-query attention over non-empty (n_i, d) key/value segments, unchecked.
+    """Single-query attention over non-empty key/value segments, unchecked.
 
-    Both products are batched over heads in the keys' storage dtype; only the
-    logits are cast to float64, for the softmax. Returns the (d,) output in
-    the storage dtype and the float64 (heads, sum n_i) scores.
+    Each segment is (n_i, d) or (n_i, heads, head_dim); its
+    ``reshape(n, heads, hd).transpose(1, 0, 2)`` is a view either way, and
+    a head's rows are contiguous when the segment is a view of a
+    head-major array (``DualCache.split_heads``). Both products are batched
+    over heads in the keys' storage dtype; only the logits are cast to
+    float64, for the softmax. Returns the (d,) output in the storage dtype
+    and the float64 (heads, sum n_i) scores.
 
     The logits stay a head-batched matmul rather than an
     ``einsum("nhk,hk->hn")`` that reads K in memory order: the einsum wins
@@ -364,7 +368,8 @@ def attention_segments(
 
     Segments avoid materializing one big K matrix when the cache is stored
     in pieces (visual survivors + appended text/generated rows); empty
-    segments are skipped. Per segment, the logits are one head-batched
+    segments are skipped. A segment is (n, d) or (n, heads, head_dim), with
+    the same bits either way. Per segment, the logits are one head-batched
     ``(heads, n, hd) @ (heads, hd, 1)`` matmul and the output one
     ``(heads, 1, n) @ (heads, n, hd)`` matmul, both in the keys' storage
     dtype (float32 keys are never upcast); the softmax runs in float64.
@@ -379,7 +384,8 @@ def attention_segments(
     if not live:
         raise EmptyKeySet("attention over an empty key set")
     for k_seg, v_seg in segments:
-        if k_seg.shape != v_seg.shape or (k_seg.shape[0] and k_seg.shape[1] != d):
+        if k_seg.shape != v_seg.shape or (k_seg.shape[0] and k_seg.shape[1:] not in (
+                (d,), (heads, d // heads))):
             raise DimensionMismatch(
                 f"segment shapes {k_seg.shape}/{v_seg.shape} incompatible with width {d}"
             )
@@ -498,11 +504,14 @@ class ToyDecoder:
         emits exactly one AttentionSnapshot at the eval layer. ``on_snapshot``
         runs right after the snapshot, so a pruning decision it applies is
         already visible to the layers above the eval layer in this same step.
+        The cache's full-view layers are split into this decoder's heads
+        first (``DualCache.split_heads``; a no-op after the first step).
         Returns (hidden_out, snapshot).
         """
         h = np.asarray(embedding, dtype=self.dtype).reshape(1, -1)
         if h.shape[1] != self.dims.hidden:
             raise DimensionMismatch(f"embedding width {h.shape[1]} != {self.dims.hidden}")
+        cache.split_heads(self.dims.heads)
         snapshot = None
 
         def attend(layer: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -210,6 +210,7 @@ def cmd_cost(args) -> int:
             "decode_steps": args.steps,
             "K": args.k_rate,
             "P": args.p_rate,
+            "window": args.window_len,
             "cost": report.to_json(),
             "full": {
                 "prefill_flops": full_pre,
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="analytic FLOPs and retained-ratio report")
     _add(p, "model", "d", "m")
     _add(p, "layers", help="layer count (default: the preset's; required for custom)")
-    _add(p, *_SHAPE, "k_rate", "p_rate", "steps", "report")
+    _add(p, *_SHAPE, "k_rate", "p_rate", "window_len", "steps", "report")
     p.set_defaults(func=cmd_cost, parser=p, layers=None, frames=32, tokens_per_frame=196,
                    text_tokens=0, steps=100)
 

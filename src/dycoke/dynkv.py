@@ -14,6 +14,18 @@ the only place they move. Rows never change once written: parking and
 readmission only move membership, so a readmitted token carries
 bit-identical K/V.
 
+The layers at or below the eval layer attend every survivor at every decode
+step, so their visual K/V are the one cost pruning never removes. On its
+first decode step, ``ToyDecoder.decode_step`` calls ``DualCache.split_heads``,
+which stores those layers' visual K and V head-major, one ``(heads, rows,
+head_dim)`` array each with each head's rows contiguous: each head's
+attention then streams its keys instead of striding across rows, with the
+same bits. The layers keep a ``(rows, heads, head_dim)`` view of it, so a
+row's index and bytes do not change. Layers above the eval layer, their
+gathered active copies and the text/generated rows stay row-major, and so
+does a cache with one head, with head rows under one cache line, or that no
+decoder touches.
+
 ``STRATEGIES`` names the strategies and ``decide`` picks each step's
 policy; the policies alone compute the retention quota, kept on the cache.
 """
@@ -84,12 +96,33 @@ class RetentionDecision:
         }
 
 
+# Rows per block of ``_LayerStore.split_heads``. At 3,116 x 896 float32
+# with 14 heads, on a 2-core x86 VM after a 64 MB cache flush, 64-row blocks
+# took 3.0 ms per array against 4.5 ms for one whole-array transposed copy
+# (medians of 7); 16-64 rows were within noise of each other, 128 and more
+# as slow as one copy.
+_SPLIT_BLOCK = 64
+# Shortest head row, in bytes, that ``DualCache.split_heads`` stores
+# head-major. numpy runs decode attention's per-head products as BLAS gemv
+# (a dot product at head_dim 1), and below one 64-byte cache line OpenBLAS
+# 0.3.31's SkylakeX kernels gave other bits for a head-major row than for a
+# row-major one: float32 at head_dim 1-8, float64 at 1-2. Every float32
+# head_dim of 16-128 and float64 head_dim of 4-128, at 2-28 heads and 1-300
+# rows, gave the same bits.
+_SPLIT_MIN_ROW_BYTES = 64
+
+
 class _LayerStore:
     """One layer's rows: immutable visual storage + growing text/generated rows.
 
-    ``active_k``/``active_v`` are the visual rows this layer attends: the
-    full storage at and below the eval layer, a contiguous gather of the
-    active rows above it. ``DualCache.apply`` is the only code that moves them.
+    ``vis_k``/``vis_v`` hold the visual rows, ``(rows, d)`` and row-major
+    until ``split_heads``, then ``(rows, heads, head_dim)`` views of
+    head-major arrays, each head's rows contiguous; either way ``vis_k[i]``
+    holds row ``i``'s bytes in order. ``active_k``/``active_v`` are the
+    visual rows this layer attends: the full storage at and below the eval
+    layer, a contiguous ``(rows, d)`` gather of the active rows above it.
+    ``DualCache.apply`` is the only code that moves them. The
+    text/generated rows ``extra_k``/``extra_v`` are always row-major.
     """
 
     __slots__ = ("vis_k", "vis_v", "extra_k", "extra_v", "extra_len", "active_k", "active_v")
@@ -120,6 +153,35 @@ class _LayerStore:
         self.extra_k[self.extra_len] = k_row
         self.extra_v[self.extra_len] = v_row
         self.extra_len += 1
+
+    def split_heads(self, heads: int, spare: int) -> None:
+        """Store the visual K, then V, head-major, freeing each original before the next.
+
+        Each is copied in ``_SPLIT_BLOCK``-row blocks, so at most one array
+        more than the storage is alive at a time, provided no caller still
+        holds the row-major original. Each head gets ``spare`` unused rows
+        after its own, so that an array is as large as the (survivors +
+        text, d) one it replaces and reuses its freed memory: sized to the
+        survivors alone, the arrays left the heap fragmented, and perfbench
+        ``prefill_video``'s peak RSS rose by 12-17 MB over 25 passes.
+        """
+        n, d = self.vis_k.shape
+        self.active_k = self.active_v = None
+        for name in ("vis_k", "vis_v"):
+            rows = getattr(self, name).reshape(n, heads, d // heads)
+            setattr(self, name, None)
+            split = np.empty((heads, n + spare, d // heads), rows.dtype)[:, :n]
+            for lo in range(0, n, _SPLIT_BLOCK):
+                split[:, lo : lo + _SPLIT_BLOCK] = rows[lo : lo + _SPLIT_BLOCK].transpose(1, 0, 2)
+            del rows
+            split.setflags(write=False)
+            setattr(self, name, split.transpose(1, 0, 2))
+        self.active_k, self.active_v = self.vis_k, self.vis_v
+
+
+def _row_major(x: np.ndarray) -> np.ndarray:
+    """``x`` as C-contiguous ``(rows, d)``: ``x`` itself when it already is."""
+    return x if x.ndim == 2 else np.ascontiguousarray(x).reshape(len(x), -1)
 
 
 def _is_survivor_rows(rows: np.ndarray, n_surv: int) -> bool:
@@ -172,6 +234,7 @@ class DualCache:
         self.active_rows = np.arange(n_surv)
         self.partitioned = False
         self.frozen = False  # one-shot: the parked rows are discarded for good
+        self.heads: int | None = None  # set by split_heads
 
     # -- shape & membership -------------------------------------------------
 
@@ -198,8 +261,35 @@ class DualCache:
 
     # -- per-layer views ------------------------------------------------------
 
+    def split_heads(self, heads: int) -> None:
+        """Store the visual K/V of every layer at or below the eval layer head-major.
+
+        The first call converts them (see ``_LayerStore.split_heads``); a
+        later call with the same ``heads`` does nothing, and one with
+        another raises ``ValueError``. With one head the row-major storage
+        is already head-major, so nothing is copied; nor when a head's row
+        is shorter than ``_SPLIT_MIN_ROW_BYTES``, where the split would
+        change the attention's bits.
+        """
+        if self.heads is not None:
+            if heads != self.heads:
+                raise ValueError(f"cache is split into {self.heads} heads, not {heads}")
+            return
+        extra = self.layers[0].extra_k
+        d = extra.shape[1]
+        if heads < 1 or d % heads:
+            raise ValueError(f"width {d} not divisible into {heads} heads")
+        self.heads = heads
+        if heads > 1 and d // heads * extra.itemsize >= _SPLIT_MIN_ROW_BYTES:
+            for store in self.layers[: self.eval_layer + 1]:
+                store.split_heads(heads, self.n_text)
+
     def segments_for(self, layer: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
-        """(K, V) segments for attention at ``layer`` plus the visual column count."""
+        """(K, V) segments for attention at ``layer`` plus the visual column count.
+
+        The visual segment is ``(rows, d)``, or ``(rows, heads, head_dim)``
+        at a split layer; ``attention_segments`` takes either.
+        """
         store = self.layers[layer]
         extras = (store.extra_k[: store.extra_len], store.extra_v[: store.extra_len])
         return [(store.active_k, store.active_v), extras], store.active_k.shape[0]
@@ -208,10 +298,12 @@ class DualCache:
         self.layers[layer].append(k_row, v_row)
 
     def active_keys(self, layer: int) -> np.ndarray:
-        return self.layers[layer].active_k
+        """The ``(rows, d)`` visual keys ``layer`` attends; a contiguous copy at a split layer."""
+        return _row_major(self.layers[layer].active_k)
 
     def active_values(self, layer: int) -> np.ndarray:
-        return self.layers[layer].active_v
+        """The ``(rows, d)`` visual values ``layer`` attends; a contiguous copy at a split layer."""
+        return _row_major(self.layers[layer].active_v)
 
     # -- decisions -----------------------------------------------------------
 
@@ -226,8 +318,12 @@ class DualCache:
         rows = np.asarray(rows, dtype=np.intp)
         if not _is_survivor_rows(rows, self.survivor_count):
             raise MissingParkedRow(f"rows must strictly increase in [0, {self.survivor_count})")
-        readmitted = np.setdiff1d(rows, self.active_rows, assume_unique=True)
-        evicted = np.setdiff1d(self.active_rows, rows, assume_unique=True)
+        now = np.zeros(self.survivor_count, dtype=bool)
+        now[rows] = True
+        before = np.zeros(self.survivor_count, dtype=bool)
+        before[self.active_rows] = True
+        readmitted = np.flatnonzero(now > before)
+        evicted = np.flatnonzero(before > now)
         if readmitted.size or evicted.size:
             if self.frozen:
                 raise MissingParkedRow("cache is frozen; parked rows were discarded")

@@ -265,6 +265,7 @@ def _simulate(spec: RunSpec, grid: VisualTokenGrid, text: TextTokens) -> SimResu
         eval_layer=spec.config.eval_layer,
         reserve_steps=spec.decode_steps + 2,
     )
+    del layer_kvs  # the cache holds them now, so its head split frees the row-major originals
     token, emb = decoder.select_token(last_hidden)
     steps, decisions, tokens, hidden_states, per_step_s = zip(
         *_decode(decoder, cache, emb, spec.decode_steps, spec.strategy, spec.config)
@@ -467,6 +468,7 @@ def run_bench(
         caches.append(dynkv.DualCache(
             kvs, ids, text_tokens, len(ids), config.eval_layer, reserve_steps=steps + warmup + 2
         ))
+    del kvs  # the caches hold them now, so their head split frees the row-major originals
     loops = [_decode(decoder, cache, emb0, warmup + steps, strat, config)
              for cache, strat in zip(caches, strategies)]
     times: list[list[float]] = [[], []]

@@ -244,6 +244,13 @@ def test_dimension_mismatch():
         attention_row(np.ones(4), np.ones((2, 4)), np.ones((3, 4)), heads=2)
     with pytest.raises(DimensionMismatch):
         attention_row(np.ones(5), np.ones((2, 5)), np.ones((2, 5)), heads=2)
+    # a segment is (n, d) or (n, heads, head_dim), nothing else
+    q = np.ones(6)
+    for shape in [(2, 3, 2), (2, 6, 1), (2, 1, 6), (2, 2, 3, 1), (6,)]:
+        with pytest.raises(DimensionMismatch):
+            attention_row(q, np.ones(shape), np.ones(shape), heads=2)
+    out, scores, _ = attention_row(q, np.ones((2, 2, 3)), np.ones((2, 2, 3)), heads=2)
+    assert out.shape == (6,) and scores.shape == (2, 2)
 
 
 _SMALL = ModelDims(layers=2, hidden=8, ffn_inner=16, heads=2)
@@ -816,6 +823,61 @@ def test_decode_step_bit_equal_to_one_dimensional_products(dtype, hidden, ffn, h
         assert got.dtype == want.dtype == dtype and got.shape == (hidden,)
         assert got.tobytes() == want.tobytes(), step
         _, emb = dec.select_token(got)
+
+
+def split_reference(dec: ToyDecoder, emb: np.ndarray, cache: DualCache):
+    """decode_step's products over a cache it never split: attention_segments reads
+    row-major segments. Returns the hidden row and the eval layer's visual scores."""
+    h, scores = np.asarray(emb, dtype=dec.dtype).reshape(1, -1), None
+    for layer, w in enumerate(dec.layers):
+        q, k, v = attention._qkv_rows(h, w, False)
+        cache.append_generated(layer, k[0], v[0])
+        segments, n_visual = cache.segments_for(layer)
+        assert segments[0][0].ndim == 2
+        out, _, avg = attention_segments(q[0], segments, dec.dims.heads, dec.scale)
+        if layer == cache.eval_layer:
+            scores = avg[:n_visual]
+        h = attention._ffn_rows(out[None], w)
+    return h[0], scores
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    heads=st.sampled_from([1, 2, 4, 14]),
+    head_dim=st.sampled_from([1, 8, 32, 64]),
+    rows=st.integers(1, 300),
+    extras=st.integers(0, 20),
+    eval_layer=st.integers(0, 1),
+    seed=st.integers(0, 2**16),
+)
+@example(dtype=np.float32, heads=14, head_dim=64, rows=300, extras=20, eval_layer=1, seed=0)
+def test_split_decode_bit_equal_to_row_major_attention(
+    dtype, heads, head_dim, rows, extras, eval_layer, seed
+):
+    # decode_step splits the full-view layers head-major; its hidden rows and
+    # eval-layer scores must keep the bits of attention over row-major K/V.
+    d = heads * head_dim
+    dec = ToyDecoder(ModelDims(layers=2, hidden=d, ffn_inner=8, heads=heads), seed=seed % 5,
+                     dtype=dtype)
+    rng = np.random.default_rng(seed)
+    kvs = [tuple(rng.standard_normal((rows + extras, d)).astype(dtype) for _ in range(2))
+           for _ in range(2)]
+    got_cache = _plain_cache([(k.copy(), v.copy()) for k, v in kvs], rows, extras, rows, eval_layer)
+    want_cache = _plain_cache(kvs, rows, extras, rows, eval_layer)
+    emb = rng.standard_normal(d)
+    for step in range(2):
+        snapshots = []
+        got, _ = dec.decode_step(emb, got_cache, step, on_snapshot=snapshots.append)
+        want, want_scores = split_reference(dec, emb, want_cache)
+        assert got.tobytes() == want.tobytes(), step
+        assert snapshots[0].scores.tobytes() == want_scores.tobytes(), step
+        _, emb = dec.select_token(got)
+    assert got_cache.heads == heads and want_cache.heads is None
+    # one head, or head rows under a cache line, stay row-major
+    split = heads > 1 and head_dim * np.dtype(dtype).itemsize >= 64
+    assert got_cache.layers[eval_layer].vis_k.shape == ((rows, heads, head_dim) if split
+                                                         else (rows, d))
 
 
 def test_cache_length_bookkeeping():

@@ -49,6 +49,24 @@ def test_cost_preset_honours_layers(capsys):
     assert preset["dims"]["layers"] == 2
 
 
+def test_cost_window_models_and_echoes_simulates_window(capsys):
+    # cost models stage 1 at the window it is given, so its ratio describes
+    # a simulate run at that window (whole windows, K x tokens_per_frame whole)
+    shape = ["--frames", "12", "--tokens-per-frame", "10", "-K", "0.5", "--window", "6"]
+    assert run_cli("cost", "--model", "custom", "--d", "16", "--m", "32", "--layers", "2",
+                   *shape) == 0
+    cost = json.loads(capsys.readouterr().out)
+    assert run_cli("simulate", *shape, "--dim", "16", "--layers", "2", "-L", "0", "-R", "1") == 0
+    simulated = json.loads(capsys.readouterr().out)
+    assert cost["window"] == 6 and simulated["spec"]["config"]["window_len"] == 6
+    assert cost["cost"]["retained_ratio_stage1"] == pytest.approx(1 - 5 / 6 * 0.5)
+    assert simulated["retained_ratio_stage1"] == pytest.approx(cost["cost"]["retained_ratio_stage1"])
+    assert run_cli("cost", "--model", "0.5b") == 0
+    assert json.loads(capsys.readouterr().out)["window"] == 4
+    assert run_cli("cost", "--model", "0.5b", "--window", "3") == 2
+    assert "window_len must be even" in capsys.readouterr().err
+
+
 def test_simulate_report_and_logs(tmp_path):
     report = tmp_path / "run.json"
     audit = tmp_path / "audit.jsonl"

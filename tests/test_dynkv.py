@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -235,6 +236,103 @@ def test_no_loss_rows_bit_identical_after_readmission():
         row = np.flatnonzero(cache.active_rows == 0)[0]
         assert cache.active_keys(l)[row].tobytes() == originals[l][0]
         assert cache.active_values(l)[row].tobytes() == originals[l][1]
+
+
+def test_split_heads_again_is_a_no_op_and_another_count_raises():
+    cache = make_cache(50, n_text=3, eval_layer=1, layers=3, d=32)
+    with pytest.raises(ValueError, match="not divisible"):
+        cache.split_heads(3)
+    assert cache.heads is None
+    cache.split_heads(4)
+    held = [(s.vis_k, s.vis_v, s.active_k, s.active_v) for s in cache.layers]
+    assert [s.vis_k.shape for s in cache.layers] == [(50, 4, 8), (50, 4, 8), (50, 32)]
+    cache.split_heads(4)
+    assert all(a is b for before, store in zip(held, cache.layers)
+               for a, b in zip(before, (store.vis_k, store.vis_v, store.active_k, store.active_v)))
+    with pytest.raises(ValueError, match="split into 4 heads, not 2"):
+        cache.split_heads(2)
+    assert cache.heads == 4
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+def test_split_heads_with_one_head_or_short_head_rows_allocates_nothing(heads):
+    # 4 heads of 4 float64 values are 32-byte rows, under one cache line
+    cache = make_cache(2000, n_text=2, eval_layer=1, d=16)  # 256 KB per array
+    held = [(s.vis_k, s.vis_v) for s in cache.layers]
+    tracemalloc.start()
+    try:
+        cache.split_heads(heads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    assert all(s.vis_k is k and s.vis_v is v for s, (k, v) in zip(cache.layers, held))
+    with pytest.raises(ValueError, match=f"split into {heads} heads, not 2"):
+        cache.split_heads(2)
+
+
+def test_views_after_split_keep_row_bytes_through_readmission():
+    # A dycoke decode splits layers 0-1 head-major; every layer's active
+    # views stay (rows, d) C-contiguous with the prefill rows' bytes, also
+    # after a forced swap parks the top set and a second one readmits it.
+    dims = ModelDims(layers=3, hidden=32, ffn_inner=64, heads=4)
+    dec = ToyDecoder(dims, seed=2)
+    n_vis, n_text = 60, 3
+    kvs, last = dec.prefill(np.random.default_rng(2).standard_normal((n_vis + n_text, 32)))
+    prefill = [(k[:n_vis].copy(), v[:n_vis].copy()) for k, v in kvs]
+    ids = [TokenId(0, i) for i in range(n_vis)]
+    cache = DualCache(kvs, ids, n_text, n_vis, eval_layer=1)
+    del kvs
+    config = CompressionConfig(p_rate=0.7)
+    decisions = []
+
+    def on_snapshot(snapshot):
+        if snapshot.step == 0:
+            decisions.append(initial_prune(snapshot, cache, config))
+        else:  # step 1 keeps the lowest scores, step 2 the highest again
+            flip = -1.0 if snapshot.step == 1 else 1.0
+            decisions.append(dynamic_swap(replace(snapshot, scores=flip * snapshot.scores),
+                                          cache, config))
+
+    _, emb = dec.select_token(last)
+    for step in range(3):
+        hidden, _ = dec.decode_step(emb, cache, step, on_snapshot=on_snapshot)
+        _, emb = dec.select_token(hidden)
+        for layer, (k, v) in enumerate(prefill):
+            rows = cache.active_rows if layer > cache.eval_layer else np.arange(n_vis)
+            for got, want in ((cache.active_keys(layer), k[rows]),
+                              (cache.active_values(layer), v[rows])):
+                assert got.ndim == 2 and got.flags.c_contiguous and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (step, layer)
+    assert [s.vis_k.ndim for s in cache.layers] == [3, 3, 2]
+    assert decisions[2].readmitted
+    for tid in decisions[2].readmitted:  # back in the pruned layer with its own bytes
+        row = ids.index(tid)
+        at = int(np.flatnonzero(cache.active_rows == row)[0])
+        assert cache.active_keys(2)[at].tobytes() == prefill[2][0][row].tobytes()
+        assert cache.layers[0].vis_k[row].tobytes() == prefill[0][0][row].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_split_heads_peak_is_one_layer_array_above_its_storage(dtype):
+    n, n_text, d = 3000, 4, 64
+    rng = np.random.default_rng(0)
+    ids = [TokenId(0, i) for i in range(n)]
+    tracemalloc.start()
+    try:
+        kvs = [tuple(rng.standard_normal((n + n_text, d)).astype(dtype) for _ in range(2))
+               for _ in range(3)]
+        cache = DualCache(kvs, ids, n_text, n, eval_layer=1)
+        del kvs  # the cache holds the only references, as in simulate and bench
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cache.split_heads(4)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_array = (n + n_text) * d * np.dtype(dtype).itemsize  # as large as the one it replaces
+    assert peak - before <= one_array + 16384
+    assert after - before <= 4096  # the split arrays replace the originals byte for byte
 
 
 def test_scale_invariance_of_selection():
