@@ -20,7 +20,7 @@ from .attention import (
 )
 from .costmodel import (
     CostInputs,
-    CostReport,
+    RunFlops,
     decode_flops,
     flops_ratio,
     prefill_flops,

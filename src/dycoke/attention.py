@@ -47,10 +47,6 @@ class ModelDims:
         if self.hidden % self.heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden // self.heads
-
 
 # Published LLaVA-OneVision model shapes; head counts chosen to divide evenly.
 MODEL_PRESETS: dict[str, ModelDims] = {
@@ -122,13 +118,6 @@ def _fill_layers(
                 _fill_normal(rng, out, scale)
 
     _run_blocks(fill, len(layers), _cpus())
-
-
-def layer_weights(dims: ModelDims, seed: int, layer: int, dtype=np.float64) -> LayerWeights:
-    """Seeded weights for one layer, drawn from its own ``[seed, 100, layer]`` stream."""
-    weights, outs = _empty_layer(dims, dtype)
-    _fill_layers([(layer, outs)], seed, 100)
-    return weights
 
 
 def project_qkv(
@@ -437,7 +426,7 @@ class ToyDecoder:
         self.dims = dims
         self.scale = scale
         self.dtype = np.dtype(dtype)
-        # ``layer_weights`` of every layer, drawn in threads
+        # each layer's weights from its own [seed, 100, layer] stream, drawn in threads
         empty = [_empty_layer(dims, self.dtype) for _ in range(dims.layers)]
         self.layers = [weights for weights, _ in empty]
         _fill_layers([(layer, outs) for layer, (_, outs) in enumerate(empty)], seed, 100)

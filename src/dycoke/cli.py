@@ -192,10 +192,15 @@ def cmd_cost(args) -> int:
     spec = simulate.RunSpec(config=_config_from(args), dims=dims, decode_steps=args.steps,
                             **_shape_from(args))
     n_visual = spec.frames * spec.tokens_per_frame
-    report = costmodel.compression_report(
+    flops = costmodel.modelled_flops(
         spec.config, dims, n_visual, n_text=spec.text_tokens, decode_steps=spec.decode_steps
     )
-    full_pre, full_dec = report.full
+    stage1, final = costmodel.retained_ratio(spec.config)
+
+    def phases(prefill: int, decode: int, total: int) -> dict:
+        return {"prefill_flops": prefill, "decode_flops": decode, "total_flops": total,
+                "total_tflops": costmodel.tera(total)}
+
     _emit(
         {
             "schema": simulate.REPORT_SCHEMA,
@@ -211,13 +216,12 @@ def cmd_cost(args) -> int:
             "K": args.k_rate,
             "P": args.p_rate,
             "window": args.window_len,
-            "cost": report.to_json(),
-            "full": {
-                "prefill_flops": full_pre,
-                "decode_flops": full_dec,
-                "total_flops": full_pre + full_dec,
-                "total_tflops": costmodel.tera(full_pre + full_dec),
+            "cost": phases(flops.prefill, flops.decode, flops.total) | {
+                "retained_ratio_stage1": stage1,
+                "retained_ratio_final": final,
+                "flops_ratio_vs_full": flops.ratio,
             },
+            "full": phases(flops.full_prefill, flops.full_decode, flops.full_total),
         },
         args.report,
     )

@@ -5,7 +5,9 @@ Per transformer layer the prefill phase costs 4nd^2 + 2n^2d + 2ndm FLOPs
 R(4d^2 + 2dm) + 2 * sum_{i=1..R} d*(n+i), where n is the context length the
 cache holds during decode. All arithmetic is exact Python integers, so
 reports are bit-reproducible; display helpers round to 3 significant digits
-of tera-FLOPs.
+of tera-FLOPs. simulate, sweep and cost render every FLOPs figure from one
+``RunFlops`` record: ``run_flops`` builds it from a run's token counts,
+``modelled_flops`` at the idealized counts of ``retained_ratio``.
 """
 
 from __future__ import annotations
@@ -31,24 +33,36 @@ class CostInputs:
 
 
 @dataclass(frozen=True)
-class CostReport:
-    prefill_flops: int
-    decode_flops: int
-    total_flops: int
-    retained_ratio_stage1: float
-    retained_ratio_final: float
-    flops_ratio_vs_full: float
-    full: tuple[int, int]  # (prefill, decode) FLOPs of the full-token run; not in to_json
+class RunFlops:
+    """One run's FLOPs: its prefill and decode, and the full-token run's of the same shape."""
+
+    prefill: int
+    decode: int
+    full_prefill: int
+    full_decode: int
+
+    @property
+    def total(self) -> int:
+        return self.prefill + self.decode
+
+    @property
+    def full_total(self) -> int:
+        return self.full_prefill + self.full_decode
+
+    @property
+    def ratio(self) -> float:
+        return self.total / self.full_total
 
     def to_json(self) -> dict:
+        """simulate's ``flops`` block."""
         return {
-            "prefill_flops": self.prefill_flops,
-            "decode_flops": self.decode_flops,
-            "total_flops": self.total_flops,
-            "total_tflops": tera(self.total_flops),
-            "retained_ratio_stage1": self.retained_ratio_stage1,
-            "retained_ratio_final": self.retained_ratio_final,
-            "flops_ratio_vs_full": self.flops_ratio_vs_full,
+            "prefill": self.prefill,
+            "decode": self.decode,
+            "total": self.total,
+            "total_tflops": tera(self.total),
+            "full_total": self.full_total,
+            "full_total_tflops": tera(self.full_total),
+            "ratio_vs_full": self.ratio,
         }
 
 
@@ -79,17 +93,18 @@ def total_flops(inputs: CostInputs) -> int:
     return prefill_flops(inputs) + decode_flops(inputs)
 
 
-def phase_flops(
+def run_flops(
     dims: ModelDims, n_visual: int, n_text: int, survivors: int, active: int, decode_steps: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(prefill, decode) FLOPs of a compressed run, then of the full-token run.
+) -> RunFlops:
+    """The FLOPs record of a run that keeps ``survivors`` of ``n_visual`` visual tokens.
 
     The compressed run prefills ``survivors`` visual tokens + text and decodes
     over ``active`` + text; the full run keeps all ``n_visual`` in both phases.
     """
     compressed = CostInputs(dims, survivors + n_text, decode_steps, active + n_text)
     full = CostInputs(dims, n_visual + n_text, decode_steps, n_visual + n_text)
-    return tuple((prefill_flops(c), decode_flops(c)) for c in (compressed, full))
+    return RunFlops(prefill_flops(compressed), decode_flops(compressed),
+                    prefill_flops(full), decode_flops(full))
 
 
 def retained_ratio(config: CompressionConfig) -> tuple[float, float]:
@@ -102,41 +117,22 @@ def retained_ratio(config: CompressionConfig) -> tuple[float, float]:
     return stage1, stage1 * (1.0 - config.p_rate)
 
 
-def flops_ratio(
-    config: CompressionConfig,
-    dims: ModelDims,
-    n_visual: int,
-    n_text: int = 0,
-    decode_steps: int = 100,
-) -> float:
-    """Compressed total FLOPs over full-token total FLOPs (see compression_report)."""
-    return compression_report(config, dims, n_visual, n_text, decode_steps).flops_ratio_vs_full
+def modelled_flops(config: CompressionConfig, dims: ModelDims, n_visual: int, n_text: int = 0,
+                   decode_steps: int = 100) -> RunFlops:
+    """The FLOPs record of an idealized run, at the counts ``retained_ratio`` gives.
 
-
-def compression_report(
-    config: CompressionConfig,
-    dims: ModelDims,
-    n_visual: int,
-    n_text: int = 0,
-    decode_steps: int = 100,
-) -> CostReport:
-    """CostReport for a compressed run, with the full-token run as baseline.
-
-    Compressed prefill runs on the idealized stage-1 retained visual tokens +
-    text; compressed decode attends over the final retained visual tokens + text.
+    Stage 1 keeps ``round(stage1 * n_visual)`` visual tokens for prefill and
+    stage 2 ``round(final * n_visual)`` for decode.
     """
     if n_visual < 0 or n_text < 0:
         raise ValueError(f"token counts must be >= 0, got n_visual={n_visual} n_text={n_text}")
     stage1, final = retained_ratio(config)
-    (pre, dec), full = phase_flops(
+    return run_flops(
         dims, n_visual, n_text, round(stage1 * n_visual), round(final * n_visual), decode_steps
     )
-    return CostReport(
-        prefill_flops=pre,
-        decode_flops=dec,
-        total_flops=pre + dec,
-        retained_ratio_stage1=stage1,
-        retained_ratio_final=final,
-        flops_ratio_vs_full=(pre + dec) / sum(full),
-        full=full,
-    )
+
+
+def flops_ratio(config: CompressionConfig, dims: ModelDims, n_visual: int, n_text: int = 0,
+                decode_steps: int = 100) -> float:
+    """Compressed total FLOPs over full-token total FLOPs (see modelled_flops)."""
+    return modelled_flops(config, dims, n_visual, n_text, decode_steps).ratio

@@ -179,11 +179,6 @@ class _LayerStore:
         self.active_k, self.active_v = self.vis_k, self.vis_v
 
 
-def _row_major(x: np.ndarray) -> np.ndarray:
-    """``x`` as C-contiguous ``(rows, d)``: ``x`` itself when it already is."""
-    return x if x.ndim == 2 else np.ascontiguousarray(x).reshape(len(x), -1)
-
-
 def _is_survivor_rows(rows: np.ndarray, n_surv: int) -> bool:
     """True if ``rows`` strictly increase inside ``[0, n_surv)``."""
     inside = rows.size == 0 or (rows[0] >= 0 and rows[-1] < n_surv)
@@ -299,11 +294,16 @@ class DualCache:
 
     def active_keys(self, layer: int) -> np.ndarray:
         """The ``(rows, d)`` visual keys ``layer`` attends; a contiguous copy at a split layer."""
-        return _row_major(self.layers[layer].active_k)
+        keys = self.layers[layer].active_k
+        return keys if keys.ndim == 2 else np.ascontiguousarray(keys).reshape(len(keys), -1)
 
-    def active_values(self, layer: int) -> np.ndarray:
-        """The ``(rows, d)`` visual values ``layer`` attends; a contiguous copy at a split layer."""
-        return _row_major(self.layers[layer].active_v)
+    def stored_rows(self) -> int:
+        """K rows over all layers (V as many): visual storage, gathered active copies, extras."""
+        return sum(
+            len(store.vis_k) + store.extra_len
+            + (0 if store.active_k is store.vis_k else len(store.active_k))
+            for store in self.layers
+        )
 
     # -- decisions -----------------------------------------------------------
 

@@ -168,7 +168,7 @@ class SimResult:
     decoded_ids: list[int] = field(default_factory=list)
     steps: list[dict] = field(default_factory=list)
     audit: list[dict] = field(default_factory=list)
-    flops: dict = field(default_factory=dict)
+    flops: costmodel.RunFlops | None = None
     hidden_states: np.ndarray | None = field(default=None, repr=False)
     timings: dict = field(default_factory=dict)
 
@@ -189,7 +189,7 @@ class SimResult:
             },
             "retained_ratio_stage1": self.retained_ratio_stage1,
             "retained_ratio_final": self.retained_ratio_final,
-            "flops": self.flops,
+            "flops": self.flops.to_json(),
             "decoded_ids": self.decoded_ids,
             "steps": self.steps,
             "audit": self.audit,
@@ -216,22 +216,6 @@ def _load_inputs(spec: RunSpec) -> tuple[VisualTokenGrid, TextTokens]:
 def _check_eval_depth(config: CompressionConfig, dims: ModelDims) -> None:
     if config.eval_layer >= dims.layers:
         raise ValueError(f"eval_layer {config.eval_layer} must be < model layers {dims.layers}")
-
-
-def _flops_summary(
-    dims: ModelDims, n_visual: int, n_text: int, survivors: int, active: int, steps: int
-) -> dict:
-    (pre, dec), full = costmodel.phase_flops(dims, n_visual, n_text, survivors, active, steps)
-    full_total = sum(full)
-    return {
-        "prefill": pre,
-        "decode": dec,
-        "total": pre + dec,
-        "total_tflops": costmodel.tera(pre + dec),
-        "full_total": full_total,
-        "full_total_tflops": costmodel.tera(full_total),
-        "ratio_vs_full": (pre + dec) / full_total,
-    }
 
 
 def run_simulation(spec: RunSpec) -> SimResult:
@@ -282,7 +266,7 @@ def _simulate(spec: RunSpec, grid: VisualTokenGrid, text: TextTokens) -> SimResu
         decoded_ids=[token, *tokens],
         steps=list(steps),
         audit=[d.to_json() for d in decisions if d is not None],
-        flops=_flops_summary(
+        flops=costmodel.run_flops(
             spec.dims, grid.total_tokens, text.count, survivors, cache.quota, spec.decode_steps
         ),
         hidden_states=np.array(hidden_states, dtype=np.float64),
@@ -432,8 +416,9 @@ def run_bench(
     Caches are filled with seeded synthetic K/V rows of the correct shapes;
     speedup is mean(t_first) / mean(t_second) over the post-warmup steps.
     The two strategies alternate step by step, so a slow stretch of the host
-    lands on both. Resident cache bytes count every stored K and V row at the
-    decoder dtype's itemsize (4 bytes for float32, 8 for float64).
+    lands on both. Resident cache bytes count every stored K and V row, the
+    gathered active copies of the layers above the eval layer included, at
+    the decoder dtype's itemsize (4 bytes for float32, 8 for float64).
     """
     if len(strategies) != 2:
         raise ValueError(f"strategies must name exactly two, e.g. none,dycoke; got {len(strategies)}")
@@ -479,10 +464,9 @@ def run_bench(
     results: dict = {}
     means: list[float] = []
     for slot, (strat, cache) in enumerate(zip(strategies, caches)):
-        # Visual storage is fixed and extra rows only grow: the last step is the peak.
-        resident_rows = cache.layer_count * (
-            cache.survivor_count + cache.n_text + cache.generated_count()
-        )
+        # Visual storage and the quota's gathered copies are fixed and extra
+        # rows only grow: the last step is the peak.
+        resident_rows = cache.stored_rows()
         measured = times[slot][warmup:]
         mean_s = float(np.mean(measured))
         means.append(mean_s)
@@ -529,7 +513,7 @@ def _sweep_cell(base: RunSpec, inputs: tuple, k: float, l: int, p: float) -> dic
             {
                 "retained_ratio_stage1": result.retained_ratio_stage1,
                 "retained_ratio_final": result.retained_ratio_final,
-                "flops_ratio": result.flops["ratio_vs_full"],
+                "flops_ratio": result.flops.ratio,
                 "mean_swap_churn": float(np.mean(churn)) if churn else 0.0,
                 "mean_step_latency_ms": result.timings["mean_step_s"] * 1e3,
             }

@@ -57,15 +57,6 @@ class VisualTokenGrid:
             raise IndexError(f"{token} outside grid {self.frames}x{self.tokens_per_frame}")
         return token.frame * self.tokens_per_frame + token.position
 
-    def token_id(self, row: int) -> TokenId:
-        if not 0 <= row < self.total_tokens:
-            raise IndexError(f"row {row} outside [0, {self.total_tokens})")
-        return TokenId(row // self.tokens_per_frame, row % self.tokens_per_frame)
-
-    def frame_rows(self, frame: int) -> np.ndarray:
-        start = frame * self.tokens_per_frame
-        return self.data[start : start + self.tokens_per_frame]
-
     def all_token_ids(self) -> list[TokenId]:
         return row_token_ids(np.arange(self.total_tokens), self.tokens_per_frame)
 

@@ -20,7 +20,6 @@ from dycoke.attention import (
     _prefill_workers,
     attention_row,
     attention_segments,
-    layer_weights,
     project_qkv,
     softmax_denom,
 )
@@ -96,7 +95,6 @@ def test_model_dims_validation():
         ModelDims(layers=2, hidden=10, ffn_inner=4, heads=3)  # 10 % 3 != 0
     with pytest.raises(ValueError):
         ModelDims(layers=0, hidden=8, ffn_inner=4, heads=2)
-    assert ModelDims(2, 8, 16, 2).head_dim == 4
 
 
 def test_model_presets_match_published_shapes():
@@ -110,7 +108,7 @@ def test_model_presets_match_published_shapes():
 
 def test_project_qkv_identity_weights():
     dims = ModelDims(1, 4, 8, 2)
-    w = layer_weights(dims, seed=0, layer=0)
+    w = ToyDecoder(dims, seed=0).layers[0]
     eye = np.eye(4)
     object.__setattr__(w, "w_q", eye)
     h = np.array([[1.0, 2.0, 3.0, 4.0]])
@@ -119,13 +117,13 @@ def test_project_qkv_identity_weights():
 
 
 def test_project_qkv_zero_input():
-    w = layer_weights(ModelDims(1, 6, 8, 2), seed=1, layer=0)
+    w = ToyDecoder(ModelDims(1, 6, 8, 2), seed=1).layers[0]
     q, k, v = project_qkv(np.zeros((3, 6)), w)
     assert not q.any() and not k.any() and not v.any()
 
 
 def test_project_qkv_linearity():
-    w = layer_weights(ModelDims(1, 6, 8, 2), seed=2, layer=0)
+    w = ToyDecoder(ModelDims(1, 6, 8, 2), seed=2).layers[0]
     h = np.random.default_rng(0).standard_normal((3, 6))
     q1, _, _ = project_qkv(h, w)
     q2, _, _ = project_qkv(3.0 * h, w)
@@ -134,7 +132,7 @@ def test_project_qkv_linearity():
 
 def test_project_qkv_matches_naive_matmul():
     dims = ModelDims(1, 8, 16, 2)
-    w = layer_weights(dims, seed=11, layer=0)
+    w = ToyDecoder(dims, seed=11).layers[0]
     h = np.random.default_rng(11).standard_normal((3, 8))
     q, k, v = project_qkv(h, w)
     np.testing.assert_allclose(q, naive_matmul(h, w.w_q), atol=1e-6)
@@ -143,7 +141,7 @@ def test_project_qkv_matches_naive_matmul():
 
 
 def test_project_qkv_dimension_mismatch():
-    w = layer_weights(ModelDims(1, 6, 8, 2), seed=0, layer=0)
+    w = ToyDecoder(ModelDims(1, 6, 8, 2), seed=0).layers[0]
     with pytest.raises(DimensionMismatch):
         project_qkv(np.zeros((2, 5)), w)
 
@@ -385,7 +383,7 @@ def dense_causal_reference(dec, rows):
     """forward_full's hidden rows from one n x n masked softmax per head, in float64."""
     h = np.asarray(rows, dtype=dec.dtype).astype(np.float64)
     n = h.shape[0]
-    hd = dec.dims.head_dim
+    hd = dec.dims.hidden // dec.dims.heads
     denom = math.sqrt(hd if dec.scale == "head" else dec.dims.hidden)
     future = np.triu(np.ones((n, n), dtype=bool), k=1)
     for w in dec.layers:
@@ -632,7 +630,7 @@ def test_prefill_workers_falls_back_to_cpu_count(monkeypatch):
 def serial_forward(dec, rows):
     """forward_full as whole-matrix products and the serial tile loop: no row blocks, no threads."""
     h = np.ascontiguousarray(rows, dtype=dec.dtype)
-    denom = math.sqrt(dec.dims.head_dim if dec.scale == "head" else dec.dims.hidden)
+    denom = math.sqrt(dec.dims.hidden // dec.dims.heads if dec.scale == "head" else dec.dims.hidden)
     kvs = []
     for w in dec.layers:
         q, k, v = h @ w.w_q, h @ w.w_k, h @ w.w_v
@@ -715,11 +713,10 @@ def test_threaded_layer_draws_match_layer_weights(monkeypatch, dtype, cpus):
     assert len(dec.layers) == 5
     names = ("w_q", "w_k", "w_v", "w_o", "ffn_in", "ffn_out")
     for layer, got in enumerate(dec.layers):
-        want = layer_weights(dims, 2**32 + 9, layer, dtype)
         old = old_layer_weights(dims, 2**32 + 9, layer, dtype)
         for name, ref in zip(names, old, strict=True):
             assert getattr(got, name).dtype == dtype
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes() == ref.tobytes()
+            assert getattr(got, name).tobytes() == ref.tobytes()
 
 
 def test_no_thread_left_after_decoder_or_prefill(monkeypatch):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dycoke.attention import EmptyKeySet
+from dycoke.attention import EmptyKeySet, ModelDims
 from dycoke.cli import main
+from dycoke.costmodel import run_flops
 from dycoke.simulate import STRATEGIES, SWEEP_COLUMNS
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
 from dycoke.trace import write_trace
@@ -65,6 +66,31 @@ def test_cost_window_models_and_echoes_simulates_window(capsys):
     assert json.loads(capsys.readouterr().out)["window"] == 4
     assert run_cli("cost", "--model", "0.5b", "--window", "3") == 2
     assert "window_len must be even" in capsys.readouterr().err
+
+
+def test_simulate_cost_and_sweep_share_one_flops_record(capsys):
+    model = ["--dim", "16", "--layers", "4"]
+    shape = ["--frames", "8", "--tokens-per-frame", "16", "--text-tokens", "4", "-R", "5"]
+    assert run_cli("simulate", *model, *shape, "-K", "0.7", "-L", "2", "-P", "0.5") == 0
+    sim = json.loads(capsys.readouterr().out)
+    flops, tokens = sim["flops"], sim["tokens"]
+    # simulate's block is the record of the run's own survivors and quota
+    record = run_flops(ModelDims(**sim["spec"]["dims"]), tokens["visual_total"], tokens["text"],
+                       tokens["stage1_retained"], tokens["retention_quota"], 5)
+    assert flops == record.to_json()
+    assert tokens["stage1_retained"] < tokens["visual_total"]  # the two runs differ
+    # cost's full-token baseline is simulate's at the same dims, shape and steps, whatever K and P
+    for rates in (["-K", "0.7", "-P", "0.5"], ["-K", "0.3", "-P", "0.9"]):
+        assert run_cli("cost", "--model", "custom", "--d", "16", "--m", "32", "--layers", "4",
+                       *shape, *rates) == 0
+        full = json.loads(capsys.readouterr().out)["full"]
+        assert (full["total_flops"], full["total_tflops"]) == (flops["full_total"],
+                                                              flops["full_total_tflops"])
+    # sweep's column for the same cell is simulate's ratio
+    assert run_cli("sweep", *model, *shape, "--K-grid", "0.7", "--L-grid", "2", "--P-grid", "0.5",
+                   "--format", "json") == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["flops_ratio"] == flops["ratio_vs_full"]
 
 
 def test_simulate_report_and_logs(tmp_path):
@@ -458,8 +484,10 @@ def test_bench_float64_resident_bytes_use_itemsize(tmp_path):
         assert code == 0
         out[dtype] = json.loads(path.read_text())["strategies"]
     for slot, row in out["float64"].items():
-        # every layer stores its survivors, 4 text rows and 5 generated rows
-        rows = 2 * (row["stage1_survivors"] + 4 + 5)
+        # every layer stores its survivors, 4 text rows and 5 generated rows;
+        # a pruning strategy's layer 1, above eval layer 0, also holds its gathered active rows
+        gathered = 0 if row["strategy"] == "none" else row["active_visual_rows_pruned_layers"]
+        rows = 2 * (row["stage1_survivors"] + 4 + 5) + gathered
         assert row["peak_resident_cache_bytes"] == rows * 2 * 64 * 8
         assert row["peak_resident_cache_bytes"] == 2 * out["float32"][slot]["peak_resident_cache_bytes"]
 

@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 from dycoke.attention import MODEL_PRESETS, ModelDims
 from dycoke.costmodel import (
     CostInputs,
-    compression_report,
     decode_flops,
     flops_ratio,
+    modelled_flops,
     prefill_flops,
     retained_ratio,
+    run_flops,
     tera,
     total_flops,
 )
@@ -141,15 +142,23 @@ def test_flops_ratio_monotone_in_k_and_p():
         assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
 
-def test_compression_report_fields():
-    report = compression_report(
-        CompressionConfig(k_rate=0.7, p_rate=0.7), MODEL_PRESETS["7b"], 6272
-    )
-    assert report.total_flops == report.prefill_flops + report.decode_flops
-    assert report.retained_ratio_final == pytest.approx(0.1425)
-    assert 0 < report.flops_ratio_vs_full < 1
-    js = report.to_json()
-    assert js["total_tflops"] == tera(report.total_flops)
+def test_modelled_flops_fields():
+    dims = MODEL_PRESETS["7b"]
+    flops = modelled_flops(CompressionConfig(k_rate=0.7, p_rate=0.7), dims, 6272)
+    # stage 1 keeps round(0.475 * 6272) = 2979 tokens, stage 2 round(0.1425 * 6272) = 894
+    assert flops == run_flops(dims, 6272, 0, 2979, 894, 100)
+    compressed = CostInputs(dims, 2979, 100, 894)
+    full = CostInputs(dims, 6272, 100, 6272)
+    assert (flops.prefill, flops.decode) == (prefill_flops(compressed), decode_flops(compressed))
+    assert (flops.full_prefill, flops.full_decode) == (prefill_flops(full), decode_flops(full))
+    assert flops.total == total_flops(compressed) and flops.full_total == total_flops(full)
+    assert flops.ratio == flops.total / flops.full_total
+    assert 0 < flops.ratio < 1
+    js = flops.to_json()
+    assert js["total_tflops"] == tera(flops.total)
+    assert js["full_total_tflops"] == tera(flops.full_total) == 41.4
+    with pytest.raises(ValueError, match="token counts"):
+        modelled_flops(CompressionConfig(), dims, -1)
 
 
 def test_cost_inputs_validation():

@@ -215,7 +215,7 @@ def test_swap_property_tie_heavy_streams(n, levels, p_rate, layers, seed):
         for layer in range(1, layers):  # pruned layers hold exact copies of the source rows
             k, v = source[layer]
             assert cache.active_keys(layer).tobytes() == k[cache.active_rows].tobytes()
-            assert cache.active_values(layer).tobytes() == v[cache.active_rows].tobytes()
+            assert cache.layers[layer].active_v.tobytes() == v[cache.active_rows].tobytes()
         prev = set(decision.retained_ids)
 
 
@@ -235,7 +235,7 @@ def test_no_loss_rows_bit_identical_after_readmission():
     for l in range(1, 3):  # pruned layers hold the readmitted row at index 0
         row = np.flatnonzero(cache.active_rows == 0)[0]
         assert cache.active_keys(l)[row].tobytes() == originals[l][0]
-        assert cache.active_values(l)[row].tobytes() == originals[l][1]
+        assert cache.layers[l].active_v[row].tobytes() == originals[l][1]
 
 
 def test_split_heads_again_is_a_no_op_and_another_count_raises():
@@ -300,10 +300,11 @@ def test_views_after_split_keep_row_bytes_through_readmission():
         _, emb = dec.select_token(hidden)
         for layer, (k, v) in enumerate(prefill):
             rows = cache.active_rows if layer > cache.eval_layer else np.arange(n_vis)
-            for got, want in ((cache.active_keys(layer), k[rows]),
-                              (cache.active_values(layer), v[rows])):
-                assert got.ndim == 2 and got.flags.c_contiguous and got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (step, layer)
+            got = cache.active_keys(layer)
+            assert got.ndim == 2 and got.flags.c_contiguous and got.shape == k[rows].shape
+            assert got.tobytes() == k[rows].tobytes(), (step, layer)
+            # a split layer's values are a (rows, heads, head_dim) view in row order
+            assert cache.layers[layer].active_v.tobytes() == v[rows].tobytes(), (step, layer)
     assert [s.vis_k.ndim for s in cache.layers] == [3, 3, 2]
     assert decisions[2].readmitted
     for tid in decisions[2].readmitted:  # back in the pruned layer with its own bytes

@@ -14,9 +14,9 @@ def test_report_matrix_writes_every_output_without_paths_or_build(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     exits = {p.name.removesuffix(".exit"): p.read_text() for p in out.glob("*.exit")}
-    # 17 simulate, 2 replay, 3 cost, 3 bench, 4 sweep runs, 5 --help texts
+    # 17 simulate, 2 replay, 4 cost, 3 bench, 4 sweep runs, 5 --help texts
     # and 3 runs given an input they would ignore
-    assert len(exits) == 37
+    assert len(exits) == 38
     refused = {name: exits.pop(name) for name in
                ("simulate-trace-frames", "sweep-trace-drift", "replay-seed", "cost-text-negative")}
     assert set(exits.values()) == {"0\n"}

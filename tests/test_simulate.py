@@ -151,7 +151,7 @@ def test_spec_validation_errors():
 
 def test_flops_summary_consistency():
     res = run_simulation(small_spec(decode_steps=4))
-    f = res.flops
+    f = res.to_json()["flops"]
     assert f["total"] == f["prefill"] + f["decode"]
     assert 0 < f["ratio_vs_full"] <= 1
 

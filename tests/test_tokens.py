@@ -9,6 +9,7 @@ from dycoke.tokens import (
     TextTokens,
     TokenId,
     VisualTokenGrid,
+    row_token_ids,
     synth_grid,
     synth_text,
 )
@@ -36,10 +37,11 @@ def test_synth_grid_default_video_shape():
 
 def test_synth_grid_zero_drift_frames_identical():
     g = synth_grid(CompressionConfig(seed=3), 4, 6, 8, drift=0.0)
+    frames = g.data.reshape(4, 6, 8)
     for f in range(1, 4):
-        np.testing.assert_array_equal(g.frame_rows(f), g.frame_rows(0))
-    a = g.frame_rows(0).astype(np.float64)
-    b = g.frame_rows(3).astype(np.float64)
+        np.testing.assert_array_equal(frames[f], frames[0])
+    a = frames[0].astype(np.float64)
+    b = frames[3].astype(np.float64)
     cos = np.einsum("ij,ij->i", a, b) / (
         np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     )
@@ -48,8 +50,8 @@ def test_synth_grid_zero_drift_frames_identical():
 
 def test_synth_grid_temporal_redundancy():
     g = synth_grid(CompressionConfig(seed=1), 4, 8, 32, drift=0.02)
-    a = g.frame_rows(0).astype(np.float64)
-    b = g.frame_rows(1).astype(np.float64)
+    a = g.data[:8].astype(np.float64)  # frame 0
+    b = g.data[8:16].astype(np.float64)  # frame 1
     cos = np.einsum("ij,ij->i", a, b) / (
         np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     )
@@ -98,13 +100,10 @@ def test_row_indexing_bijection():
         frames = int(rng.integers(1, 7))
         tpf = int(rng.integers(1, 9))
         g = VisualTokenGrid(frames, tpf, 3, np.ones((frames * tpf, 3), np.float32))
-        rows = [g.row_index(g.token_id(r)) for r in range(g.total_tokens)]
-        assert rows == list(range(g.total_tokens))
-        ids = [g.token_id(r) for r in range(g.total_tokens)]
+        ids = row_token_ids(np.arange(g.total_tokens), tpf)
+        assert [g.row_index(t) for t in ids] == list(range(g.total_tokens))
         assert len(set(ids)) == g.total_tokens
         assert ids == sorted(ids)  # row-major order is TokenId order
-    with pytest.raises(IndexError):
-        g.token_id(g.total_tokens)
     with pytest.raises(IndexError):
         g.row_index(TokenId(frames, 0))
 

@@ -290,6 +290,7 @@ def test_apply_ttm_outputs_pinned(mode, window, k):
 
 def per_pair_ttm(grid: VisualTokenGrid, config: CompressionConfig):
     n_v = grid.tokens_per_frame
+    frames = grid.data.reshape(grid.frames, n_v, -1)
     quota = math.floor(config.k_rate * n_v + 1e-9)
     kept_as = np.arange(grid.total_tokens)
     removed, similarities = [], []
@@ -299,8 +300,8 @@ def per_pair_ttm(grid: VisualTokenGrid, config: CompressionConfig):
             ref = window[offset - 1] if offset % 2 == 1 else window[0]
             if quota == 0:
                 continue
-            a = grid.frame_rows(frame).astype(np.float64)
-            b = grid.frame_rows(ref).astype(np.float64)
+            a = frames[frame].astype(np.float64)
+            b = frames[ref].astype(np.float64)
             dots = np.einsum("ij,ij->i", a, b)
             na = np.linalg.norm(a, axis=1)
             nb = np.linalg.norm(b, axis=1)

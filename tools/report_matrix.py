@@ -11,8 +11,9 @@ The runs, all at small shapes:
 - replay report and audit log at two settings;
 - the exit of three runs given an input they would ignore: ``--frames`` to a
   trace-fed simulate, ``--drift`` to a trace-fed sweep and ``--seed`` to replay;
-- two cost reports and two bench reports, plus the exit of a bench given
-  ``-R 2`` and of a cost given ``--text-tokens -1``;
+- three cost reports, one the analytic twin of the ``--window 6`` simulate
+  run, and two bench reports, plus the exit of a bench given ``-R 2`` and
+  of a cost given ``--text-tokens -1``;
 - sweep CSV and JSON, synthetic and trace-fed, with one error cell;
 - the five subcommands' ``--help`` texts.
 
@@ -138,6 +139,10 @@ def write_matrix(out: Path) -> None:
     _run(out, trace, "cost-custom",
          ["cost", "--model", "custom", "--d", "64", "--m", "128", "--layers", "3", *GRID,
           "--text-tokens", "4", "-K", "0.5", "-P", "0.5", "-R", "8"], report="json")
+    _run(out, trace, "cost-custom-window6",
+         ["cost", "--model", "custom", "--d", "16", "--m", "32", "--layers", "4", *GRID,
+          "--text-tokens", "4", "-K", "0.7", "-P", "0.5", "--window", "6", "-R", "5"],
+         report="json")
     _run(out, trace, "cost-text-negative",
          ["cost", "--model", "7b", "--text-tokens", "-1", "--report", os.devnull])
 
