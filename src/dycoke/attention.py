@@ -159,9 +159,9 @@ def _qkv_rows(
     return ((h[-2:] @ weights.w_q)[-1:], *outs) if last_q else outs
 
 
-# Query rows per prefill tile. At 3k rows, d=128, 4 heads, float64 and one
-# BLAS thread, 64 was fastest of 16-512 (32 and 128 within noise of it).
-_PREFILL_BLOCK = 64
+# Query rows per prefill tile, one head at a time. At 3k rows, d=128, 4
+# heads, float64 and one BLAS thread, 128 was fastest of 64/128/256.
+_PREFILL_BLOCK = 128
 
 
 def _cpus() -> int:
@@ -236,51 +236,87 @@ def _causal_attention(
     A tile of rows [lo, hi) attends to the key prefix [0, hi) only, so the
     upper triangle beyond the tile is never computed; only the diagonal
     block is masked. As in FlashAttention, each tile's unnormalised P @ V
-    is divided by the row sums afterwards, and 1/denom is applied without a
-    pass of its own: float64 Q is scaled once up front; float32 logits are
-    scaled while they are widened to float64, a copy the tile needs anyway,
-    so they are rounded to float32 only once, as before.
+    is divided by the row sums afterwards.
+
+    The shift rule: softmax is unchanged by any per-row shift, and row i
+    is shifted by its own diagonal logit d_i = q_i.k_i / denom, which every
+    causal row holds, instead of by its max. Q and K are copied head-major
+    with one extra column each, -d in Q and ones in K, so a tile's
+    ``matmul`` already returns x_ij - d_i and the tile runs mask, ``exp``,
+    row sum and P @ V with no max or subtract pass. 1/denom costs no pass
+    of its own either: float64 Q is scaled in that copy, and d comes from
+    the scaled Q; float32 keeps the product in float32 (d too) and scales
+    it while widening it to float64, the copy the tile needs anyway.
+
+    The fallback: the diagonal's weight is exp(~0) ~ 1, so a row sum that
+    comes out non-finite or below 1/2 means a logit more than ~709 above
+    its diagonal overflowed ``exp``, or the logits are so large that
+    rounding of d lost the diagonal's weight. Such a tile is computed
+    again with the shift by its exact row max. ``exp`` ignores overflow,
+    which the fallback handles; an overflow in a product still raises
+    under the caller's error state. Row 0 attends key 0 alone, so its
+    context row is ``v[0]`` itself, bit for bit.
 
     Heads are independent, so ``_run_blocks`` splits them into
-    ``_prefill_workers`` contiguous groups, each running the tile loop in a
-    thread of its own. The calling thread allocates the flat tile buffers,
-    one slice per group, so no worker leaves freed tiles in a per-thread
-    malloc arena; a tile is a contiguous view of its group's slice. Working
-    memory is still one (heads, tile, n) float64 tile in all, not an n x n
-    matrix per head, and each head's arithmetic is the same whatever the
-    grouping. Returns the context rows in ``q``'s dtype.
+    ``_prefill_workers`` contiguous groups, each running its heads' tile
+    loops in a thread of its own. The calling thread allocates one tile
+    buffer per group, so no worker leaves freed tiles in a per-thread
+    malloc arena. Working memory is one (tile, n) float64 tile per group,
+    not an n x n matrix per head, and each head's arithmetic is the same
+    whatever the grouping. Returns the context rows in ``q``'s dtype.
     """
     n, d = q.shape
     hd = d // heads
     scale = 1.0 / denom
+    qx = np.empty((heads, n, hd + 1), q.dtype)
+    kx = np.empty((heads, n, hd + 1), k.dtype)
+    qh, kh = qx[:, :, :hd], kx[:, :, :hd]
+    q_rows = q.reshape(n, heads, hd).transpose(1, 0, 2)
     if q.dtype == np.float64:
-        q, scale = q * scale, None
-    qh, kh = (x.reshape(n, heads, hd).transpose(1, 0, 2) for x in (q, k))
+        np.multiply(q_rows, scale, out=qh)
+        scale = None
+    else:
+        qh[...] = q_rows
+    kh[...] = k.reshape(n, heads, hd).transpose(1, 0, 2)
+    np.negative(np.einsum("hnk,hnk->hn", qh, kh), out=qx[:, :, hd])
+    kx[:, :, hd] = 1
     vh = v.reshape(n, heads, hd).transpose(1, 0, 2).astype(np.float64, copy=False)
     ctx = np.empty_like(q)
     ctx_h = ctx.reshape(n, heads, hd).transpose(1, 0, 2)
     upper = np.triu(np.ones((_PREFILL_BLOCK, _PREFILL_BLOCK), dtype=bool), k=1)
-    per_head = min(_PREFILL_BLOCK, n) * n
-    buf = np.empty(heads * per_head, dtype=np.float64)
+    per_tile = min(_PREFILL_BLOCK, n) * n
+    groups = max(1, min(_prefill_workers(heads), heads))
+    buf = np.empty(groups * per_tile, dtype=np.float64)
     raw = buf if scale is None else np.empty(buf.size, q.dtype)
 
-    def run_group(g0: int, g1: int) -> None:
-        h = g1 - g0
-        group_buf, group_raw = buf[g0 * per_head :], raw[g0 * per_head :]
-        for lo in range(0, n, _PREFILL_BLOCK):
-            hi = min(lo + _PREFILL_BLOCK, n)
-            b = hi - lo
-            logits = group_buf[: h * b * hi].reshape(h, b, hi)
-            prod = group_raw[: h * b * hi].reshape(h, b, hi)
-            np.matmul(qh[g0:g1, lo:hi], kh[g0:g1, :hi].transpose(0, 2, 1), out=prod)
-            if scale is not None:
-                np.multiply(prod, scale, out=logits, dtype=np.float64)
-            np.copyto(logits[:, :, lo:], -np.inf, where=upper[:b, :b])
-            logits -= logits.max(axis=-1, keepdims=True)
-            np.exp(logits, out=logits)
-            ctx_h[g0:g1, lo:hi] = (logits @ vh[g0:g1, :hi]) / logits.sum(axis=-1, keepdims=True)
+    def tile(qm: np.ndarray, km: np.ndarray, head: int, lo: int, hi: int, g: int) -> np.ndarray:
+        """Rows [lo, hi) of ``head``'s masked, scaled ``qm @ km.T``, in group ``g``'s buffer."""
+        b = hi - lo
+        logits = buf[g * per_tile :][: b * hi].reshape(b, hi)
+        prod = raw[g * per_tile :][: b * hi].reshape(b, hi)
+        np.matmul(qm[head, lo:hi], km[head, :hi].T, out=prod)
+        if scale is not None:
+            np.multiply(prod, scale, out=logits, dtype=np.float64)
+        np.copyto(logits[:, lo:], -np.inf, where=upper[:b, :b])
+        return logits
 
-    _run_blocks(run_group, heads, _prefill_workers(heads))
+    def run_group(g: int, _: int) -> None:
+        for head in range(g * heads // groups, (g + 1) * heads // groups):
+            for lo in range(0, n, _PREFILL_BLOCK):
+                hi = min(lo + _PREFILL_BLOCK, n)
+                logits = tile(qx, kx, head, lo, hi, g)
+                with np.errstate(over="ignore"):
+                    np.exp(logits, out=logits)
+                sums = logits.sum(axis=-1, keepdims=True)
+                if not np.all((sums >= 0.5) & (sums < np.inf)):
+                    logits = tile(qh, kh, head, lo, hi, g)
+                    logits -= logits.max(axis=-1, keepdims=True)
+                    np.exp(logits, out=logits)
+                    sums = logits.sum(axis=-1, keepdims=True)
+                ctx_h[head, lo:hi] = (logits @ vh[head, :hi]) / sums
+
+    _run_blocks(run_group, groups, groups)
+    ctx[0] = v[0]
     return ctx
 
 

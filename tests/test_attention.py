@@ -379,25 +379,32 @@ def test_forward_full_matches_per_position_oracle(n, heads, scale, dtype, seed):
     np.testing.assert_allclose(hidden, causal_reference(dec, rows), rtol=0, atol=atol)
 
 
+def dense_causal_attention(q, k, v, heads, denom):
+    """Causal attention from one n x n masked, max-shifted softmax per head, in float64."""
+    q, k, v = (np.asarray(x, dtype=np.float64) for x in (q, k, v))
+    n, d = q.shape
+    hd = d // heads
+    future = np.triu(np.ones((n, n), dtype=bool), k=1)
+    ctx = np.empty_like(q)
+    for head in range(heads):
+        cols = slice(head * hd, (head + 1) * hd)
+        logits = q[:, cols] @ k[:, cols].T / denom
+        logits[future] = -np.inf
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        ctx[:, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[:, cols]
+    return ctx
+
+
 def dense_causal_reference(dec, rows):
-    """forward_full's hidden rows from one n x n masked softmax per head, in float64."""
+    """forward_full's hidden rows from ``dense_causal_attention``, in float64."""
     h = np.asarray(rows, dtype=dec.dtype).astype(np.float64)
-    n = h.shape[0]
     hd = dec.dims.hidden // dec.dims.heads
     denom = math.sqrt(hd if dec.scale == "head" else dec.dims.hidden)
-    future = np.triu(np.ones((n, n), dtype=bool), k=1)
     for w in dec.layers:
         w_q, w_k, w_v, w_o, ffn_in, ffn_out = (
             m.astype(np.float64) for m in (w.w_q, w.w_k, w.w_v, w.w_o, w.ffn_in, w.ffn_out)
         )
-        q, k, v = h @ w_q, h @ w_k, h @ w_v
-        ctx = np.empty_like(q)
-        for head in range(dec.dims.heads):
-            cols = slice(head * hd, (head + 1) * hd)
-            logits = q[:, cols] @ k[:, cols].T / denom
-            logits[future] = -np.inf
-            p = np.exp(logits - logits.max(axis=1, keepdims=True))
-            ctx[:, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[:, cols]
+        ctx = dense_causal_attention(h @ w_q, h @ w_k, h @ w_v, dec.dims.heads, denom)
         h = np.maximum(ctx @ w_o @ ffn_in, 0.0) @ ffn_out
     return h
 
@@ -425,6 +432,40 @@ def test_causal_attention_first_row_is_its_value(n, denom):
     ctx = _causal_attention(q, k, v, 4, denom)
     assert ctx.dtype == np.float64
     assert ctx[0].tobytes() == v[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 130])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", ["planted", "huge", "self"])
+def test_causal_attention_falls_back_to_the_row_max(n, dtype, case):
+    # A key more than 710 above its row's diagonal logit overflows exp under
+    # the diagonal shift. At logits near 1e17, rounding of the diagonal can
+    # lose its weight; with keys equal to the equal-norm queries ("self")
+    # every row's max is its diagonal, and in float32 that weight underflows
+    # to a row sum below 1/2. Such tiles must be recomputed shifted by the
+    # row max.
+    heads, hd = 2, 4
+    denom = math.sqrt(hd)
+    rng = np.random.default_rng([n, 7])
+    q, k, v = (rng.standard_normal((n, heads * hd)) for _ in range(3))
+    if case == "huge":
+        q, k = q * 3e8, k * 3e8
+    elif case == "self":
+        q = q.reshape(n, heads, hd)
+        q = (q * (4.5e8 / np.linalg.norm(q, axis=-1, keepdims=True))).reshape(n, heads * hd)
+        k = q
+    else:  # rows in the first and the last tile, keys before them
+        for row, key in ((40, 39), (n - 1, 3)):
+            for head in range(heads):
+                c = slice(head * hd, (head + 1) * hd)
+                target = q[row, c] @ k[row, c] + 720 * denom
+                k[key, c] = q[row, c] * target / (q[row, c] @ q[row, c])
+    q, k, v = (x.astype(dtype) for x in (q, k, v))
+    with np.errstate(over="raise", invalid="raise"):
+        got = _causal_attention(q, k, v, heads, denom)
+    assert got.dtype == dtype
+    atol = 1e-12 if dtype is np.float64 else 1e-5
+    np.testing.assert_allclose(got, dense_causal_attention(q, k, v, heads, denom), rtol=0, atol=atol)
 
 
 @settings(max_examples=30, deadline=None)
@@ -492,8 +533,12 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr(attention, "_prefill_workers", lambda heads: min(heads, workers))
 
 
-def serial_causal_tiles(q, k, v, heads, denom, block=64):
-    """The single-threaded tile loop, one head at a time, fresh arrays per tile."""
+def serial_causal_tiles(q, k, v, heads, denom, block=128):
+    """The single-threaded tile loop, one head at a time, fresh arrays per tile.
+
+    Each row is shifted by its diagonal logit, folded into the product as a
+    -d column of Q and a ones column of K; row 0 is ``v[0]``.
+    """
     n, d = q.shape
     hd = d // heads
     scale = 1.0 / denom
@@ -504,16 +549,18 @@ def serial_causal_tiles(q, k, v, heads, denom, block=64):
     for head in range(heads):
         cols = slice(head * hd, (head + 1) * hd)
         qh, kh, vh = q[:, cols], k[:, cols], v[:, cols].astype(np.float64)
+        qx = np.hstack([qh, -np.einsum("nk,nk->n", qh, kh)[:, None]])
+        kx = np.hstack([kh, np.ones((n, 1), kh.dtype)])
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            logits = qh[lo:hi] @ kh[:hi].T
+            logits = qx[lo:hi] @ kx[:hi].T
             if scale is not None:
                 logits = np.multiply(logits, scale, dtype=np.float64)
             b = hi - lo
             np.copyto(logits[:, lo:], -np.inf, where=upper[:b, :b])
-            logits -= logits.max(axis=-1, keepdims=True)
             np.exp(logits, out=logits)
             ctx[lo:hi, cols] = (logits @ vh[:hi]) / logits.sum(axis=-1, keepdims=True)
+    ctx[0] = v[0]
     return ctx
 
 
