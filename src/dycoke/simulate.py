@@ -34,7 +34,7 @@ STRATEGIES = dynkv.STRATEGIES
 DTYPES = ("float32", "float64")
 SYNTHETIC_SHAPE = {"frames": 8, "tokens_per_frame": 16, "text_tokens": 4, "drift": 0.05}
 
-REPORT_SCHEMA = "dycoke-report/1"
+REPORT_SCHEMA = "dycoke-report/2"
 
 SWEEP_COLUMNS = [
     "K",
@@ -167,7 +167,7 @@ class SimResult:
     retained_ratio_final: float = 0.0
     decoded_ids: list[int] = field(default_factory=list)
     steps: list[dict] = field(default_factory=list)
-    audit: list[dict] = field(default_factory=list)
+    audit: list[dict] = field(default_factory=list)  # --audit-log's entries; not in the report
     flops: costmodel.RunFlops | None = None
     hidden_states: np.ndarray | None = field(default=None, repr=False)
     timings: dict = field(default_factory=dict)
@@ -192,7 +192,6 @@ class SimResult:
             "flops": self.flops.to_json(),
             "decoded_ids": self.decoded_ids,
             "steps": self.steps,
-            "audit": self.audit,
         }
         if self.spec.timing:
             out["timing"] = self.timings
@@ -300,7 +299,7 @@ class ReplayResult:
     retained_ratio_stage1: float
     retained_ratio_final: float
     steps: list[dict]
-    audit: list[dict]
+    audit: list[dict]  # --audit-log's entries; not in the report
     readmitted_total: int
     final_jaccard_one_shot: float
 
@@ -318,7 +317,6 @@ class ReplayResult:
             "retained_ratio_stage1": self.retained_ratio_stage1,
             "retained_ratio_final": self.retained_ratio_final,
             "steps": self.steps,
-            "audit": self.audit,
             "readmitted_total": self.readmitted_total,
             "final_jaccard_one_shot": self.final_jaccard_one_shot,
         }

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dycoke.attention import EmptyKeySet, ModelDims
 from dycoke.cli import main
 from dycoke.costmodel import run_flops
+from dycoke import simulate
 from dycoke.simulate import STRATEGIES, SWEEP_COLUMNS
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
 from dycoke.trace import write_trace
@@ -105,7 +106,7 @@ def test_simulate_report_and_logs(tmp_path):
     )
     assert code == 0
     data = json.loads(report.read_text())
-    assert data["kind"] == "simulate"
+    assert data["kind"] == "simulate" and "audit" not in data
     assert data["tokens"]["visual_total"] == 80
     assert len(data["steps"]) == 4
     audit_rows = [json.loads(line) for line in audit.read_text().splitlines()]
@@ -348,7 +349,12 @@ def test_replay_cli(tmp_path):
     assert len(data["steps"]) == 5
 
 
-def test_replay_audit_log_is_the_reports_audit(tmp_path):
+def test_replay_audit_log_is_the_results_audit(tmp_path, monkeypatch):
+    # The report holds no audit; the log is the result's audit, line for line.
+    results = []
+    run_replay = simulate.run_replay
+    monkeypatch.setattr(simulate, "run_replay", lambda *args: results.append(run_replay(*args))
+                        or results[-1])
     grid = synth_grid(CompressionConfig(seed=0), 4, 8, 8)
     rng = np.random.default_rng(1)
     attention = {(t, 1): rng.random(grid.total_tokens).astype(np.float32) for t in range(4)}
@@ -359,9 +365,10 @@ def test_replay_audit_log_is_the_reports_audit(tmp_path):
                    "--audit-log", str(audit))
     assert code == 0
     data = json.loads(report.read_text())
+    assert data["schema"] == "dycoke-report/2" and "audit" not in data
     lines = audit.read_text().splitlines()
     assert len(lines) == 4
-    assert [json.loads(line) for line in lines] == data["audit"]
+    assert [json.loads(line) for line in lines] == results[0].audit
     assert data["spec"]["config"]["heads"] == CompressionConfig().heads
 
 
