@@ -285,7 +285,7 @@ def _causal_attention(
     ctx_h = ctx.reshape(n, heads, hd).transpose(1, 0, 2)
     upper = np.triu(np.ones((_PREFILL_BLOCK, _PREFILL_BLOCK), dtype=bool), k=1)
     per_tile = min(_PREFILL_BLOCK, n) * n
-    groups = max(1, min(_prefill_workers(heads), heads))
+    groups = _prefill_workers(heads)
     buf = np.empty(groups * per_tile, dtype=np.float64)
     raw = buf if scale is None else np.empty(buf.size, q.dtype)
 

@@ -409,11 +409,11 @@ def dense_causal_reference(dec, rows):
     return h
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 130])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("scale", ["head", "full"])
 def test_forward_full_matches_dense_masked_softmax(n, dtype, scale):
-    # n sits at, around and across the 64-row prefill tile.
+    # n sits at, around and across the 128-row prefill tile.
     dec = ToyDecoder(ModelDims(layers=2, hidden=16, ffn_inner=32, heads=4), seed=n, scale=scale,
                      dtype=dtype)
     rows = np.random.default_rng(n).standard_normal((n, 16))
@@ -567,7 +567,7 @@ def serial_causal_tiles(q, k, v, heads, denom, block=128):
 @pytest.mark.parametrize("heads", [1, 3, 4, 14])
 @pytest.mark.parametrize("workers", [1, 2, 3, "heads"])
 def test_causal_attention_head_groups_match_serial_tiles(monkeypatch, heads, workers):
-    # n sits at, around and across the 64-row tile; every grouping of the
+    # n sits at, around and across the 128-row tile; every grouping of the
     # heads must give the serial loop's bits. Up to 14 workers on fewer
     # cores, switching threads often, write disjoint slices of one output.
     force_workers(monkeypatch, heads if workers == "heads" else workers)
@@ -575,7 +575,7 @@ def test_causal_attention_head_groups_match_serial_tiles(monkeypatch, heads, wor
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for n in (1, 63, 64, 65, 130):
+        for n in (1, 63, 64, 65, 127, 128, 129, 130):
             rng = np.random.default_rng([n, heads])
             for dtype in (np.float32, np.float64):
                 q, k, v = (rng.standard_normal((n, heads * hd)).astype(dtype) for _ in range(3))
@@ -705,7 +705,7 @@ def test_row_blocks_match_whole_matrix_products(monkeypatch, workers):
         for dtype in (np.float32, np.float64):
             dec = ToyDecoder(ModelDims(layers=3, hidden=32, ffn_inner=64, heads=4), seed=4,
                              dtype=dtype)
-            for n in (1, 2, 3, 63, 64, 65, 130):
+            for n in (1, 2, 3, 63, 64, 65, 128, 129, 130):
                 rows = np.random.default_rng([n, 4]).standard_normal((n, 32))
                 kvs_ref, hidden_ref = serial_forward(dec, rows)
                 kvs, hidden = dec.forward_full(rows)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dycoke import simulate
 from dycoke.attention import EmptyKeySet, ModelDims
 from dycoke.cli import main
 from dycoke.costmodel import run_flops
-from dycoke import simulate
 from dycoke.simulate import STRATEGIES, SWEEP_COLUMNS
 from dycoke.tokens import CompressionConfig, TextTokens, synth_grid
 from dycoke.trace import write_trace
@@ -353,8 +353,12 @@ def test_replay_audit_log_is_the_results_audit(tmp_path, monkeypatch):
     # The report holds no audit; the log is the result's audit, line for line.
     results = []
     run_replay = simulate.run_replay
-    monkeypatch.setattr(simulate, "run_replay", lambda *args: results.append(run_replay(*args))
-                        or results[-1])
+
+    def recorded(*args):
+        results.append(run_replay(*args))
+        return results[-1]
+
+    monkeypatch.setattr(simulate, "run_replay", recorded)
     grid = synth_grid(CompressionConfig(seed=0), 4, 8, 8)
     rng = np.random.default_rng(1)
     attention = {(t, 1): rng.random(grid.total_tokens).astype(np.float32) for t in range(4)}
